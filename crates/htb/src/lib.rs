@@ -36,6 +36,18 @@
 //! 3. work conservation — when aggregate demand ≥ uplink capacity the
 //!    root is never idle (the root is the payer of last resort);
 //! 4. the first ECN mark precedes the first drop for ECT traffic.
+//!
+//! ## Cost model
+//!
+//! The tree keeps a bitmap of backlogged leaves, set when a leaf queues
+//! a packet and cleared when a release or an AQM drop empties it. Every
+//! scheduler path walks that index, never the whole leaf table:
+//! [`ShapingTree::next_ready`] visits each backlogged leaf once, and
+//! [`ShapingTree::dequeue`] moves its DRR cursor straight to the next
+//! backlogged leaf. Per-packet work is therefore O(backlogged leaves ×
+//! tree depth) plus one word test per 64 leaves, and an idle
+//! subscriber costs nothing per packet beyond its bit. When the
+//! cursor's own leaf can send, `dequeue` does not scan at all.
 
 use qdisc::{
     ClassMap, CoDel, Shaper, TokenBucket, CLASS_COUNT, DEFAULT_INTERVAL_US, DEFAULT_TARGET_US,
@@ -44,8 +56,7 @@ use qdisc::{
 // Re-exported so consumers of the tree can pattern-match enqueue and
 // dequeue outcomes without a direct qdisc dependency.
 pub use qdisc::{DequeueOutcome, EnqueueOutcome, Released, TrafficClass};
-use std::collections::BTreeMap;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -127,6 +138,8 @@ pub struct TreeSpec {
     leaf_queue_cap_pkts: usize,
     /// Token-bucket depth for every rate and ceiling bucket, bytes.
     burst_bytes: u64,
+    /// Destinations already bound to a subscriber leaf.
+    bound_dsts: BTreeSet<u32>,
 }
 
 impl TreeSpec {
@@ -161,6 +174,7 @@ impl TreeSpec {
             codel_interval_us: DEFAULT_INTERVAL_US,
             leaf_queue_cap_pkts: 256,
             burst_bytes: 3_000,
+            bound_dsts: BTreeSet::new(),
         }
     }
 
@@ -256,19 +270,18 @@ impl TreeSpec {
         dst: u32,
     ) -> NodeIdx {
         assert!(
-            !self
-                .nodes
-                .iter()
-                .any(|n| n.kind == NodeKind::Leaf(Some(dst))),
+            !self.bound_dsts.contains(&dst),
             "destination {dst} already bound to a subscriber leaf"
         );
-        self.add_node(
+        let idx = self.add_node(
             parent,
             name,
             plan.assured_bps,
             plan.ceil_bps,
             NodeKind::Leaf(Some(dst)),
-        )
+        );
+        self.bound_dsts.insert(dst);
+        idx
     }
 
     /// Total number of nodes, including root and default leaf.
@@ -460,10 +473,6 @@ impl<T> Leaf<T> {
     fn head_bytes(&self) -> Option<u32> {
         self.head_class().map(|c| self.queues[c][0].bytes)
     }
-
-    fn backlog_pkts(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum()
-    }
 }
 
 /// DRR byte quantum for a leaf assured `assured_bps`: HTB's `r2q`
@@ -492,6 +501,9 @@ pub struct ShapingTree<T> {
     /// Whether the cursor's leaf already received its quantum this
     /// visit.
     granted: bool,
+    /// One bit per leaf table index, set exactly while that leaf has a
+    /// packet queued.
+    active: Vec<u64>,
     shared: TreeStatsHandle,
 }
 
@@ -543,6 +555,7 @@ impl<T> ShapingTree<T> {
         ShapingTree {
             spec,
             nodes,
+            active: vec![0; leaves.len().div_ceil(64)],
             leaves,
             dst_map,
             default_leaf: default_leaf.expect("spec always carries the default leaf"),
@@ -574,9 +587,10 @@ impl<T> ShapingTree<T> {
         self.leaves[li].node
     }
 
-    /// Total packets currently queued across all leaves.
+    /// Total packets currently queued across all leaves (the root's
+    /// subtree gauge).
     pub fn backlog_pkts(&self) -> usize {
-        self.leaves.iter().map(|l| l.backlog_pkts()).sum()
+        self.shared.nodes[ROOT].backlog_pkts.load(Ordering::Relaxed) as usize
     }
 
     /// Walk `idx` → root applying `f` to every node on the path
@@ -619,6 +633,7 @@ impl<T> ShapingTree<T> {
             ecn_capable,
             enqueued_at: now_us,
         });
+        self.active[li / 64] |= 1 << (li % 64);
         self.for_path(node, |s| {
             s.backlog_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
             s.backlog_pkts.fetch_add(1, Ordering::Relaxed);
@@ -670,37 +685,58 @@ impl<T> ShapingTree<T> {
     /// ceiling conformance needs *all* path buckets (latest of their
     /// thresholds), a payer needs *any* rate bucket (earliest), and
     /// both thresholds are sharp because tokens only grow until the
-    /// next consume.
+    /// next consume. Visits only backlogged leaves, in table order.
     pub fn next_ready(&self, after_us: u64) -> Option<u64> {
         let mut best: Option<u64> = None;
-        for leaf in &self.leaves {
-            let Some(bytes) = leaf.head_bytes() else {
-                continue;
-            };
-            let mut ceil_at = after_us;
-            let mut payer_at = u64::MAX;
-            let mut at = leaf.node;
-            loop {
-                ceil_at = ceil_at.max(self.nodes[at].ceil.next_conforming(after_us, bytes));
-                payer_at = payer_at.min(self.nodes[at].rate.next_conforming(after_us, bytes));
-                if at == ROOT {
-                    break;
+        for (w, &word) in self.active.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let li = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let leaf = &self.leaves[li];
+                let bytes = leaf.head_bytes().expect("active leaf has a queued packet");
+                let mut ceil_at = after_us;
+                let mut payer_at = u64::MAX;
+                let mut at = leaf.node;
+                loop {
+                    ceil_at = ceil_at.max(self.nodes[at].ceil.next_conforming(after_us, bytes));
+                    payer_at = payer_at.min(self.nodes[at].rate.next_conforming(after_us, bytes));
+                    if at == ROOT {
+                        break;
+                    }
+                    at = self.nodes[at].parent;
                 }
-                at = self.nodes[at].parent;
+                let t = ceil_at.max(payer_at);
+                if t <= after_us {
+                    // Every candidate is >= after_us, so an eligible-now
+                    // leaf is already the minimum: stop scanning.
+                    return Some(t);
+                }
+                best = Some(best.map_or(t, |b: u64| b.min(t)));
             }
-            let t = ceil_at.max(payer_at);
-            if t <= after_us {
-                // Every candidate is >= after_us, so an eligible-now
-                // leaf is already the minimum: stop scanning.
-                return Some(t);
-            }
-            best = Some(best.map_or(t, |b: u64| b.min(t)));
         }
         best
     }
 
-    fn advance_cursor(&mut self) {
-        self.cursor = (self.cursor + 1) % self.leaves.len();
+    /// Move the DRR cursor to the first backlogged leaf after `li` in
+    /// table order, wrapping around (back to `li` when it is the only
+    /// one). A plain DRR walk would visit every leaf in between, but
+    /// those are all empty and their deficits already zero, so the
+    /// jump leaves the same state. Callers guarantee a backlogged leaf.
+    fn jump_past(&mut self, li: usize) {
+        let from = (li + 1) % self.leaves.len();
+        let words = self.active.len();
+        let mut w = from / 64;
+        let mut bits = self.active[w] & (u64::MAX << (from % 64));
+        for _ in 0..words {
+            if bits != 0 {
+                break;
+            }
+            w = (w + 1) % words;
+            bits = self.active[w];
+        }
+        assert!(bits != 0, "DRR jump with no backlogged leaf");
+        self.cursor = w * 64 + bits.trailing_zeros() as usize;
         self.granted = false;
     }
 
@@ -710,30 +746,36 @@ impl<T> ShapingTree<T> {
     /// outcome carries `next_at` so the caller can reschedule.
     pub fn dequeue(&mut self, now_us: u64) -> DequeueOutcome<T> {
         let mut aqm_dropped = Vec::new();
+        // Whether `next_ready` has shown some leaf eligible at `now_us`
+        // since the queues last changed. Cursor moves and quantum
+        // grants touch no bucket and no queue, so only a pop (here, an
+        // AQM drop) can change the answer.
+        let mut some_eligible = false;
         loop {
-            // `next_ready` is exact, so one scan both decides whether
-            // any leaf is eligible *now* and prices the reschedule.
-            match self.next_ready(now_us) {
-                Some(at) if at <= now_us => {}
-                next_at => {
-                    return DequeueOutcome {
-                        released: None,
-                        aqm_dropped,
-                        next_at,
-                    };
-                }
-            }
             let li = self.cursor;
-            if self.leaves[li].head_class().is_none() {
-                self.leaves[li].deficit = 0;
-                self.advance_cursor();
-                continue;
-            }
+            // An eligible cursor leaf is itself proof that something is
+            // eligible now, so the common case prices nothing.
             if !self.leaf_eligible(li, now_us) {
-                // Ceiling-blocked (or the whole path is out of assured
-                // tokens): forfeit the deficit and let the others run.
+                if !some_eligible {
+                    // `next_ready` is exact, so one scan both decides
+                    // whether any leaf is eligible *now* and prices the
+                    // reschedule.
+                    match self.next_ready(now_us) {
+                        Some(at) if at <= now_us => some_eligible = true,
+                        next_at => {
+                            return DequeueOutcome {
+                                released: None,
+                                aqm_dropped,
+                                next_at,
+                            };
+                        }
+                    }
+                }
+                // Empty, ceiling-blocked, or the whole path is out of
+                // assured tokens: forfeit the deficit and let the others
+                // run.
                 self.leaves[li].deficit = 0;
-                self.advance_cursor();
+                self.jump_past(li);
                 continue;
             }
             if !self.granted {
@@ -744,13 +786,17 @@ impl<T> ShapingTree<T> {
             let head_bytes = self.leaves[li].queues[class][0].bytes as u64;
             if self.leaves[li].deficit < head_bytes {
                 // Share spent for this round.
-                self.advance_cursor();
+                self.jump_past(li);
                 continue;
             }
             let entry = self.leaves[li].queues[class]
                 .pop_front()
                 .expect("non-empty");
             self.leaves[li].deficit -= head_bytes;
+            let emptied = self.leaves[li].head_class().is_none();
+            if emptied {
+                self.active[li / 64] &= !(1 << (li % 64));
+            }
             let node = self.leaves[li].node;
             self.for_path(node, |s| {
                 s.backlog_bytes
@@ -764,6 +810,9 @@ impl<T> ShapingTree<T> {
                     s.drops.fetch_add(1, Ordering::Relaxed);
                 });
                 aqm_dropped.push((TrafficClass::ALL[class], entry.payload));
+                // The cursor stays put, keeping the leaf's deficit and
+                // grant should it refill before the next call.
+                some_eligible = false;
                 continue;
             }
             if signal {
@@ -795,9 +844,12 @@ impl<T> ShapingTree<T> {
             self.for_path(node, |s| {
                 s.bits_sent.fetch_add(bits, Ordering::Relaxed);
             });
-            if self.leaves[li].head_class().is_none() {
+            if emptied {
+                // Step, not jump: no leaf may be backlogged now, and the
+                // next call skips any empty leaves from here.
                 self.leaves[li].deficit = 0;
-                self.advance_cursor();
+                self.cursor = (li + 1) % self.leaves.len();
+                self.granted = false;
             }
             return DequeueOutcome {
                 released: Some(Released {
@@ -813,6 +865,9 @@ impl<T> ShapingTree<T> {
         }
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
