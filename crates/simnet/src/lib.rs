@@ -17,9 +17,12 @@
 //!   role of the paper's "thin layer based on the RTP-RTCP scheme"
 //!   (§5.1),
 //! * per-network statistics for tests and benches ([`trace`]),
-//! * an optional per-link traffic-control plane (token-bucket shaping,
-//!   DRR class scheduling, ECN-capable CoDel AQM) mounted with
-//!   [`Network::attach_qdisc`] (re-exported [`qdisc`] crate).
+//! * an optional egress discipline per link, mounted with either
+//!   [`Network::attach_qdisc`] — a flat traffic-control plane with
+//!   token-bucket shaping, DRR class scheduling and ECN-capable CoDel
+//!   AQM (re-exported [`qdisc`] crate) — or [`Network::attach_tree`] —
+//!   a hierarchical shaping tree with per-subscriber plans and AQM
+//!   (re-exported [`htb`] crate). One egress code path serves both.
 //!
 //! The simulator is fully deterministic: all randomness (packet loss)
 //! derives from a seed supplied to [`Network::new`].

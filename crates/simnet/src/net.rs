@@ -6,10 +6,10 @@
 //! through per-node sorted port tables, multicast groups keep explicit
 //! member lists (sorted by socket index, so fan-out order — and hence
 //! the RNG draw order of per-copy loss rolls — is identical to the
-//! historical all-sockets scan), and per-link qdisc mounts sit in a
-//! `Vec` indexed by link id. Nothing on the delivery path iterates a
-//! hash map, so iteration order can never silently reorder RNG draws
-//! between runs or builds.
+//! historical all-sockets scan), and per-link egress disciplines sit
+//! in a `Vec` indexed by link id. Nothing on the delivery path
+//! iterates a hash map, so iteration order can never silently reorder
+//! RNG draws between runs or builds.
 
 use crate::faults::{FaultAction, FaultPlan};
 use crate::packet::{Port, WirePacket, MAX_DATAGRAM};
@@ -19,7 +19,7 @@ use crate::topology::{LinkId, LinkSpec, NodeId, Topology};
 use crate::trace::{NetStats, NetStatsHandle};
 use crate::wheel::TimingWheel;
 use htb::{ShapingTree, TreeSpec, TreeStatsHandle};
-use qdisc::{EnqueueOutcome, Qdisc, QdiscConfig, QdiscStats, StatsHandle};
+use qdisc::{DequeueOutcome, EnqueueOutcome, Qdisc, QdiscConfig, QdiscStats, StatsHandle};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -113,10 +113,11 @@ struct Socket {
 }
 
 /// A packet copy travelling a multi-hop path through at least one
-/// qdisc-equipped link. Links without a qdisc are still traversed
-/// analytically (identical arithmetic and RNG draws to the plain
-/// path); a qdisc hop suspends the walk in the link's class queues
-/// and resumes it as a [`NetEvent::Hop`] on release.
+/// link with an egress discipline (flat qdisc or shaping tree) mounted.
+/// Links without one are still traversed analytically (identical
+/// arithmetic and RNG draws to the plain path); a disciplined hop
+/// suspends the walk in the link's queues and resumes it as a
+/// [`NetEvent::Hop`] on release.
 #[derive(Debug)]
 struct InFlight {
     packet: WirePacket,
@@ -147,33 +148,65 @@ enum NetEvent {
     Hop {
         flight: InFlight,
     },
-    /// Serve one packet from the qdisc on `link`. `gen` invalidates
-    /// events superseded by an earlier reschedule.
-    QdiscService {
-        link: u32,
-        gen: u64,
-    },
-    /// Serve one packet from the shaping tree on `link`. `gen`
+    /// Serve one packet from the egress discipline on `link`. `gen`
     /// invalidates events superseded by an earlier reschedule.
-    TreeService {
+    EgressService {
         link: u32,
         gen: u64,
     },
 }
 
-/// A mounted traffic-control plane plus its service scheduling state.
-struct LinkQdisc {
-    q: Qdisc<InFlight>,
-    /// Instant of the currently scheduled service event, if any.
-    service_at: Option<Ticks>,
-    /// Generation of the live service event; stale events are ignored.
-    gen: u64,
+/// A link's egress discipline. Both keep the same driving contract —
+/// `enqueue` at arrival, `dequeue` whenever the wire is free,
+/// reschedule at `next_ready` — so one code path serves either.
+enum Egress {
+    /// Flat class-based plane: port classification, DRR over four
+    /// class queues, per-class CoDel.
+    Flat(Box<Qdisc<InFlight>>),
+    /// Hierarchical shaping tree: one leaf per destination subscriber.
+    Tree(Box<ShapingTree<InFlight>>),
 }
 
-/// A mounted hierarchical shaping tree plus its service scheduling
-/// state (the tree-shaped analogue of [`LinkQdisc`]).
-struct LinkTree {
-    tree: ShapingTree<InFlight>,
+impl Egress {
+    /// Offer a copy bound for `dst_node` on `port`. The flat plane
+    /// classifies by port alone; the tree picks the subscriber leaf by
+    /// destination node, then the class by port.
+    fn enqueue(
+        &mut self,
+        now_us: u64,
+        dst_node: u32,
+        port: u16,
+        bytes: u32,
+        ecn: bool,
+        flight: InFlight,
+    ) -> EnqueueOutcome<InFlight> {
+        match self {
+            Egress::Flat(q) => {
+                let class = q.classify(port);
+                q.enqueue(now_us, class, bytes, ecn, flight)
+            }
+            Egress::Tree(t) => t.enqueue(now_us, dst_node, port, bytes, ecn, flight),
+        }
+    }
+
+    fn next_ready(&self, after_us: u64) -> Option<u64> {
+        match self {
+            Egress::Flat(q) => q.next_ready(after_us),
+            Egress::Tree(t) => t.next_ready(after_us),
+        }
+    }
+
+    fn dequeue(&mut self, now_us: u64) -> DequeueOutcome<InFlight> {
+        match self {
+            Egress::Flat(q) => q.dequeue(now_us),
+            Egress::Tree(t) => t.dequeue(now_us),
+        }
+    }
+}
+
+/// A mounted egress discipline plus its service scheduling state.
+struct LinkEgress {
+    plane: Egress,
     /// Instant of the currently scheduled service event, if any.
     service_at: Option<Ticks>,
     /// Generation of the live service event; stale events are ignored.
@@ -207,16 +240,11 @@ pub struct Network {
     /// first not-yet-applied entry.
     plan: FaultPlan,
     plan_next: usize,
-    /// Traffic-control planes indexed by dense link id (`None` where no
-    /// plane is mounted); `qdisc_count` short-circuits the per-path
-    /// scan when nothing is mounted anywhere.
-    qdiscs: Vec<Option<LinkQdisc>>,
-    qdisc_count: usize,
-    /// Hierarchical shaping trees indexed by dense link id (`None`
-    /// where none is mounted); `tree_count` short-circuits the
-    /// per-path scan exactly like `qdisc_count`.
-    trees: Vec<Option<LinkTree>>,
-    tree_count: usize,
+    /// Egress disciplines indexed by dense link id (`None` where none
+    /// is mounted); `egress_count` short-circuits the per-path scan
+    /// when nothing is mounted anywhere.
+    egress: Vec<Option<LinkEgress>>,
+    egress_count: usize,
 }
 
 impl Network {
@@ -236,10 +264,8 @@ impl Network {
             fired_timers: VecDeque::new(),
             plan: FaultPlan::new(),
             plan_next: 0,
-            qdiscs: Vec::new(),
-            qdisc_count: 0,
-            trees: Vec::new(),
-            tree_count: 0,
+            egress: Vec::new(),
+            egress_count: 0,
         }
     }
 
@@ -252,59 +278,57 @@ impl Network {
             .map(|i| table[i].1)
     }
 
-    /// The qdisc mounted on link `id`, if any.
-    fn qdisc_ref(&self, id: u32) -> Option<&LinkQdisc> {
-        self.qdiscs.get(id as usize).and_then(|q| q.as_ref())
+    /// The egress discipline mounted on link `id`, if any.
+    fn egress_ref(&self, id: u32) -> Option<&LinkEgress> {
+        self.egress.get(id as usize).and_then(|e| e.as_ref())
     }
 
-    fn qdisc_mut(&mut self, id: u32) -> Option<&mut LinkQdisc> {
-        self.qdiscs.get_mut(id as usize).and_then(|q| q.as_mut())
+    fn egress_mut(&mut self, id: u32) -> Option<&mut LinkEgress> {
+        self.egress.get_mut(id as usize).and_then(|e| e.as_mut())
+    }
+
+    /// Put `plane` in the single egress slot of `link`. A link carries
+    /// one discipline for its lifetime: a second mount of either kind
+    /// panics rather than orphaning the packets queued in the first.
+    fn mount(&mut self, link: LinkId, plane: Egress) {
+        let idx = link.0 as usize;
+        if idx >= self.egress.len() {
+            self.egress.resize_with(idx + 1, || None);
+        }
+        if let Some(mounted) = &self.egress[idx] {
+            let kind = match mounted.plane {
+                Egress::Flat(_) => "qdisc",
+                Egress::Tree(_) => "shaping tree",
+            };
+            panic!("link already has a {kind} mounted");
+        }
+        self.egress[idx] = Some(LinkEgress {
+            plane,
+            service_at: None,
+            gen: 0,
+        });
+        self.egress_count += 1;
     }
 
     /// Mount a traffic-control plane on `link`. All traffic crossing
     /// the link is then classified, shaped, DRR-scheduled, and subject
     /// to CoDel AQM; links without a plane keep the plain analytic
-    /// FIFO model bit-for-bit. Returns a handle to the plane's live
-    /// aggregate counters (for SNMP instrumentation).
+    /// FIFO model bit-for-bit. A link carries one egress discipline:
+    /// mounting a second one panics. Returns a handle to the plane's
+    /// live aggregate counters (for SNMP instrumentation).
     pub fn attach_qdisc(&mut self, link: LinkId, cfg: QdiscConfig) -> StatsHandle {
-        assert!(
-            self.tree_ref(link.0).is_none(),
-            "link already has a shaping tree mounted"
-        );
         let q: Qdisc<InFlight> = Qdisc::new(cfg);
         let handle = q.shared_stats();
-        let idx = link.0 as usize;
-        if idx >= self.qdiscs.len() {
-            self.qdiscs.resize_with(idx + 1, || None);
-        }
-        if self.qdiscs[idx].is_none() {
-            self.qdisc_count += 1;
-        }
-        self.qdiscs[idx] = Some(LinkQdisc {
-            q,
-            service_at: None,
-            gen: 0,
-        });
+        self.mount(link, Egress::Flat(Box::new(q)));
         handle
-    }
-
-    /// Whether `link` has a traffic-control plane mounted.
-    pub fn qdisc_attached(&self, link: LinkId) -> bool {
-        self.qdisc_ref(link.0).is_some()
     }
 
     /// Snapshot of the per-class counters of the plane on `link`.
     pub fn qdisc_stats(&self, link: LinkId) -> Option<QdiscStats> {
-        self.qdisc_ref(link.0).map(|lq| lq.q.stats().clone())
-    }
-
-    /// The shaping tree mounted on link `id`, if any.
-    fn tree_ref(&self, id: u32) -> Option<&LinkTree> {
-        self.trees.get(id as usize).and_then(|t| t.as_ref())
-    }
-
-    fn tree_mut(&mut self, id: u32) -> Option<&mut LinkTree> {
-        self.trees.get_mut(id as usize).and_then(|t| t.as_mut())
+        match &self.egress_ref(link.0)?.plane {
+            Egress::Flat(q) => Some(q.stats().clone()),
+            Egress::Tree(_) => None,
+        }
     }
 
     /// Mount a hierarchical shaping tree on `link`. All traffic
@@ -312,34 +336,22 @@ impl Network {
     /// to its destination node (or the default leaf), shaped by the
     /// HTB borrowing hierarchy, and subject to that leaf's own CoDel
     /// AQM. Links without a tree keep the plain analytic FIFO model
-    /// bit-for-bit. A link carries either a qdisc or a tree, never
-    /// both. Returns a handle to the tree's live per-node counters
-    /// (for SNMP instrumentation).
+    /// bit-for-bit. A link carries one egress discipline: mounting a
+    /// second one panics. Returns a handle to the tree's live per-node
+    /// counters (for SNMP instrumentation).
     pub fn attach_tree(&mut self, link: LinkId, spec: TreeSpec) -> TreeStatsHandle {
-        assert!(
-            self.qdisc_ref(link.0).is_none(),
-            "link already has a qdisc mounted"
-        );
         let tree: ShapingTree<InFlight> = ShapingTree::new(spec);
         let handle = tree.shared_stats();
-        let idx = link.0 as usize;
-        if idx >= self.trees.len() {
-            self.trees.resize_with(idx + 1, || None);
-        }
-        if self.trees[idx].is_none() {
-            self.tree_count += 1;
-        }
-        self.trees[idx] = Some(LinkTree {
-            tree,
-            service_at: None,
-            gen: 0,
-        });
+        self.mount(link, Egress::Tree(Box::new(tree)));
         handle
     }
 
     /// Whether `link` has a shaping tree mounted.
     pub fn tree_attached(&self, link: LinkId) -> bool {
-        self.tree_ref(link.0).is_some()
+        matches!(
+            self.egress_ref(link.0).map(|e| &e.plane),
+            Some(Egress::Tree(_))
+        )
     }
 
     /// Declare traffic sent from socket `s` ECN-capable (or not).
@@ -703,9 +715,10 @@ impl Network {
     /// Schedule one copy of `packet` along a precomputed link path,
     /// applying serialization, FIFO queueing, latency, loss, and any
     /// per-link fault model (burst loss, jitter, reorder, duplication).
-    /// When a link on the path has a qdisc mounted, the copy travels as
-    /// an [`InFlight`] event-driven walk instead; paths without one use
-    /// the analytic loop below, which consumes an identical RNG stream.
+    /// When a link on the path has an egress discipline mounted, the
+    /// copy travels as an [`InFlight`] event-driven walk instead; paths
+    /// without one use the analytic loop below, which consumes an
+    /// identical RNG stream.
     ///
     /// Every fault draw is gated on its rate being non-zero, so links
     /// without a model — or with [`crate::faults::FaultModel::none`] —
@@ -718,11 +731,7 @@ impl Network {
         target: Option<SocketHandle>,
         ecn_capable: bool,
     ) {
-        if (self.qdisc_count > 0 || self.tree_count > 0)
-            && path
-                .iter()
-                .any(|l| self.qdisc_ref(l.0).is_some() || self.tree_ref(l.0).is_some())
-        {
+        if self.egress_count > 0 && path.iter().any(|l| self.egress_ref(l.0).is_some()) {
             let flight = InFlight {
                 packet: packet.clone(),
                 path: path.to_vec(),
@@ -860,24 +869,21 @@ impl Network {
 
     /// Walk an in-flight copy along its remaining path starting at the
     /// current instant. Plain links are traversed analytically; on
-    /// reaching a qdisc link the copy is enqueued there (or handed off
-    /// as a [`NetEvent::Hop`] when its arrival lies in the future).
+    /// reaching a link with an egress discipline the copy is enqueued
+    /// there (or handed off as a [`NetEvent::Hop`] when its arrival
+    /// lies in the future).
     fn advance_flight(&mut self, mut flight: InFlight) {
         let now = self.clock.now();
         let mut t = now;
         while flight.hop < flight.path.len() {
             let link_id = flight.path[flight.hop];
-            let queued_here =
-                self.qdisc_ref(link_id.0).is_some() || self.tree_ref(link_id.0).is_some();
-            if queued_here {
+            if self.egress_ref(link_id.0).is_some() {
                 if t > now {
                     // The copy only reaches the plane at `t`; classify
                     // and enqueue it then, in arrival order.
                     self.queue.schedule(t, NetEvent::Hop { flight });
-                } else if self.qdisc_ref(link_id.0).is_some() {
-                    self.qdisc_enqueue(link_id, flight);
                 } else {
-                    self.tree_enqueue(link_id, flight);
+                    self.egress_enqueue(link_id, flight);
                 }
                 return;
             }
@@ -903,38 +909,12 @@ impl Network {
         );
     }
 
-    /// Classify an arriving copy into the class queues of the qdisc on
-    /// `link_id` and (re)schedule service.
-    fn qdisc_enqueue(&mut self, link_id: LinkId, flight: InFlight) {
-        let now = self.clock.now();
-        let port = match flight.dst {
-            Addr::Unicast(_, p) | Addr::Multicast(_, p) => p,
-        };
-        let wire = flight.packet.wire_size() as u32;
-        let ecn = flight.ecn_capable;
-        let Some(lq) = self.qdisc_mut(link_id.0) else {
-            return;
-        };
-        let class = lq.q.classify(port.0);
-        match lq.q.enqueue(now.as_micros(), class, wire, ecn, flight) {
-            EnqueueOutcome::Queued => {
-                lq.q.publish_backlog();
-                self.kick_qdisc(link_id);
-            }
-            EnqueueOutcome::TailDropped(_) => {
-                self.stats.dropped += 1;
-                self.stats.qdisc_dropped += 1;
-                self.shared.add_dropped(1);
-            }
-        }
-    }
-
-    /// Route an arriving copy to its subscriber leaf in the shaping
-    /// tree on `link_id` and (re)schedule service. The leaf is chosen
-    /// by the copy's *final destination node* — for multicast
-    /// fan-out, the member socket's node — so each subscriber's
-    /// traffic meets its own plan and AQM regardless of addressing.
-    fn tree_enqueue(&mut self, link_id: LinkId, flight: InFlight) {
+    /// Offer an arriving copy to the egress discipline on `link_id` and
+    /// (re)schedule service. A tree picks the leaf by the copy's *final
+    /// destination node* — for multicast fan-out, the member socket's
+    /// node — so each subscriber's traffic meets its own plan and AQM
+    /// regardless of addressing.
+    fn egress_enqueue(&mut self, link_id: LinkId, flight: InFlight) {
         let now = self.clock.now();
         let port = match flight.dst {
             Addr::Unicast(_, p) | Addr::Multicast(_, p) => p,
@@ -950,16 +930,14 @@ impl Network {
         };
         let wire = flight.packet.wire_size() as u32;
         let ecn = flight.ecn_capable;
-        let Some(lt) = self.tree_mut(link_id.0) else {
+        let Some(le) = self.egress_mut(link_id.0) else {
             return;
         };
-        match lt
-            .tree
+        match le
+            .plane
             .enqueue(now.as_micros(), dst_node, port.0, wire, ecn, flight)
         {
-            EnqueueOutcome::Queued => {
-                self.kick_tree(link_id);
-            }
+            EnqueueOutcome::Queued => self.kick_egress(link_id),
             EnqueueOutcome::TailDropped(_) => {
                 self.stats.dropped += 1;
                 self.stats.qdisc_dropped += 1;
@@ -968,26 +946,27 @@ impl Network {
         }
     }
 
-    /// Ensure a service event is pending for the tree on `link_id` at
-    /// the earliest instant some leaf's head packet is eligible and
-    /// the line is idle (the tree-shaped analogue of `kick_qdisc`).
-    fn kick_tree(&mut self, link_id: LinkId) {
+    /// Ensure a service event is pending for the discipline on
+    /// `link_id` at the earliest instant some head packet both conforms
+    /// to shaping and finds the line idle. Superseded events are
+    /// invalidated by bumping the generation counter.
+    fn kick_egress(&mut self, link_id: LinkId) {
         let now = self.clock.now();
         let busy = self.topo.links[link_id.0 as usize].busy_until.max(now);
-        let Some(lt) = self.tree_mut(link_id.0) else {
+        let Some(le) = self.egress_mut(link_id.0) else {
             return;
         };
-        let Some(ready) = lt.tree.next_ready(busy.as_micros()) else {
+        let Some(ready) = le.plane.next_ready(busy.as_micros()) else {
             return;
         };
         let at = Ticks::from_micros(ready);
-        if lt.service_at.is_none_or(|s| at < s) {
-            lt.gen += 1;
-            lt.service_at = Some(at);
-            let gen = lt.gen;
+        if le.service_at.is_none_or(|s| at < s) {
+            le.gen += 1;
+            le.service_at = Some(at);
+            let gen = le.gen;
             self.queue.schedule(
                 at,
-                NetEvent::TreeService {
+                NetEvent::EgressService {
                     link: link_id.0,
                     gen,
                 },
@@ -995,20 +974,21 @@ impl Network {
         }
     }
 
-    /// Serve at most one packet from the shaping tree on `link`,
-    /// putting it on the wire and resuming its path walk, then
-    /// reschedule service for whatever remains queued.
-    fn service_tree(&mut self, link: u32, gen: u64) {
+    /// Serve at most one packet from the discipline on `link`, putting
+    /// it on the wire (busy-time reservation + loss rolls) and resuming
+    /// its path walk, then reschedule service for whatever remains
+    /// queued.
+    fn service_egress(&mut self, link: u32, gen: u64) {
         let now = self.clock.now();
         let link_id = LinkId(link);
-        let Some(lt) = self.tree_mut(link) else {
+        let Some(le) = self.egress_mut(link) else {
             return;
         };
-        if lt.gen != gen {
+        if le.gen != gen {
             return;
         }
-        lt.service_at = None;
-        let out = lt.tree.dequeue(now.as_micros());
+        le.service_at = None;
+        let out = le.plane.dequeue(now.as_micros());
         let aqm_drops = out.aqm_dropped.len() as u64;
         self.stats.dropped += aqm_drops;
         self.stats.qdisc_dropped += aqm_drops;
@@ -1043,87 +1023,7 @@ impl Network {
                 self.shared.add_dropped(1);
             }
         }
-        self.kick_tree(link_id);
-    }
-
-    /// Ensure a service event is pending for the qdisc on `link_id` at
-    /// the earliest instant its head packet both conforms to shaping
-    /// and finds the line idle. Superseded events are invalidated by
-    /// bumping the generation counter.
-    fn kick_qdisc(&mut self, link_id: LinkId) {
-        let now = self.clock.now();
-        let busy = self.topo.links[link_id.0 as usize].busy_until.max(now);
-        let Some(lq) = self.qdisc_mut(link_id.0) else {
-            return;
-        };
-        let Some(ready) = lq.q.next_ready(busy.as_micros()) else {
-            return;
-        };
-        let at = Ticks::from_micros(ready);
-        if lq.service_at.is_none_or(|s| at < s) {
-            lq.gen += 1;
-            lq.service_at = Some(at);
-            let gen = lq.gen;
-            self.queue.schedule(
-                at,
-                NetEvent::QdiscService {
-                    link: link_id.0,
-                    gen,
-                },
-            );
-        }
-    }
-
-    /// Serve at most one packet from the qdisc on `link`, putting it on
-    /// the wire (busy-time reservation + loss rolls) and resuming its
-    /// path walk, then reschedule service for whatever remains queued.
-    fn service_qdisc(&mut self, link: u32, gen: u64) {
-        let now = self.clock.now();
-        let link_id = LinkId(link);
-        let Some(lq) = self.qdisc_mut(link) else {
-            return;
-        };
-        if lq.gen != gen {
-            return;
-        }
-        lq.service_at = None;
-        let out = lq.q.dequeue(now.as_micros());
-        let aqm_drops = out.aqm_dropped.len() as u64;
-        lq.q.publish_backlog();
-        self.stats.dropped += aqm_drops;
-        self.stats.qdisc_dropped += aqm_drops;
-        self.shared.add_dropped(aqm_drops);
-        if let Some(rel) = out.released {
-            let mut flight = rel.payload;
-            if rel.ecn_marked {
-                self.stats.ecn_marked += 1;
-                flight.ce = true;
-            }
-            let link_ref = &mut self.topo.links[link as usize];
-            let ser = link_ref.spec.serialization_time(flight.packet.wire_size());
-            link_ref.busy_until = now + ser;
-            link_ref.busy_accum += ser;
-            let mut t = now + ser + link_ref.spec.latency;
-            if self.roll_link_loss(link_id, &mut t, &mut flight.duplicate) {
-                flight.hop += 1;
-                if flight.hop < flight.path.len() {
-                    self.queue.schedule(t, NetEvent::Hop { flight });
-                } else {
-                    self.deliver(
-                        &flight.packet,
-                        flight.dst,
-                        flight.target,
-                        t,
-                        flight.ce,
-                        flight.duplicate,
-                    );
-                }
-            } else {
-                self.stats.dropped += 1;
-                self.shared.add_dropped(1);
-            }
-        }
-        self.kick_qdisc(link_id);
+        self.kick_egress(link_id);
     }
 
     /// Schedule an opaque timer key to fire at absolute time `at`.
@@ -1180,8 +1080,7 @@ impl Network {
                     self.fired_timers.push_back((ev.at, key));
                 }
                 NetEvent::Hop { flight } => self.advance_flight(flight),
-                NetEvent::QdiscService { link, gen } => self.service_qdisc(link, gen),
-                NetEvent::TreeService { link, gen } => self.service_tree(link, gen),
+                NetEvent::EgressService { link, gen } => self.service_egress(link, gen),
             }
         }
         self.clock.advance_to(deadline);
@@ -1962,6 +1861,88 @@ mod tests {
         let link = net.connect(a, b, LinkSpec::lan());
         net.attach_qdisc(link, QdiscConfig::for_rate(1_000_000));
         net.attach_tree(link, TreeSpec::new(1_000_000));
+    }
+
+    /// A link has one egress slot: mounting a second plane of the same
+    /// kind panics instead of orphaning the first plane's queue.
+    #[test]
+    #[should_panic(expected = "link already has a qdisc mounted")]
+    fn second_qdisc_on_a_link_panics() {
+        let mut net = Network::new(14);
+        let a = net.add_node("a");
+        let b = net.add_node("b");
+        let link = net.connect(a, b, LinkSpec::lan());
+        net.attach_qdisc(link, QdiscConfig::for_rate(1_000_000));
+        net.attach_qdisc(link, QdiscConfig::for_rate(2_000_000));
+    }
+
+    /// One path crossing a qdisc hop and then a tree hop: each copy
+    /// leaves the flat plane, resumes its walk, and queues again in
+    /// the tree. Both planes shape below the offered load, so both
+    /// drop, and every copy is accounted for exactly once.
+    #[test]
+    fn flight_crosses_qdisc_then_tree() {
+        const PORTS: [u16; 4] = [161, 5004, 9000, 20000];
+        let run = || {
+            let mut net = Network::new(15);
+            let a = net.add_node("a");
+            let b = net.add_node("b");
+            let c = net.add_node("c");
+            let lossy = LinkSpec::lan().with_loss(0.01);
+            let first = net.connect(a, b, lossy);
+            let second = net.connect(b, c, lossy);
+            net.attach_qdisc(first, QdiscConfig::for_rate(4_000_000));
+            let mut spec = TreeSpec::new(100_000_000);
+            let plan = RatePlan::new("c", 2_000_000, 2_000_000);
+            spec.add_subscriber(htb::ROOT, "c", &plan, c.0);
+            let tree = net.attach_tree(second, spec);
+            let sa = net.bind(a, Port(1)).unwrap();
+            let sinks: Vec<SocketHandle> = PORTS
+                .iter()
+                .map(|&p| net.bind(c, Port(p)).unwrap())
+                .collect();
+            let mut rng = StdRng::seed_from_u64(99);
+            let copies = 600u64;
+            for _ in 0..copies {
+                let port = PORTS[rng.random_range(0..PORTS.len())];
+                let len = rng.random_range(100..=1_200);
+                net.send(sa, Addr::unicast(c, Port(port)), vec![0u8; len])
+                    .unwrap();
+                net.run_for(Ticks::from_micros(rng.random_range(0..=1_000)));
+            }
+            net.run_to_quiescence();
+            let mut trace = Vec::new();
+            for &s in &sinks {
+                while let Some(d) = net.recv(s) {
+                    trace.push((
+                        net.socket_port(s),
+                        d.arrived_at.as_micros(),
+                        d.payload.len(),
+                    ));
+                }
+            }
+            let qstats = net.qdisc_stats(first).unwrap();
+            let st = net.stats().clone();
+            assert_eq!(st.sent, copies);
+            assert_eq!(
+                st.delivered + st.dropped,
+                copies,
+                "every copy accounted once"
+            );
+            let q_sent: u64 = TrafficClass::ALL
+                .iter()
+                .map(|&k| qstats.class(k).dequeued)
+                .sum();
+            assert!(q_sent > 0, "qdisc carried traffic");
+            assert!(tree.bits_sent(htb::ROOT) > 0, "tree carried traffic");
+            assert!(qstats.drops() > 0, "qdisc overloaded");
+            assert!(tree.drops(htb::ROOT) > 0, "tree overloaded");
+            assert_eq!(st.qdisc_dropped, qstats.drops() + tree.drops(htb::ROOT));
+            trace
+        };
+        let trace = run();
+        assert!(!trace.is_empty());
+        assert_eq!(trace, run());
     }
 
     /// Same seed + same qdisc config ⇒ identical arrival trace.
