@@ -19,7 +19,7 @@
 //!
 //! # Determinism
 //!
-//! Evidence always multiplies in the fixed [`VARS`] order no matter
+//! Evidence always multiplies in the fixed `VARS` order no matter
 //! how the caller ordered it, so posteriors are bit-identical under
 //! evidence-order shuffling (pinned by `tests/policy_engines.rs`)
 //! and across worker counts.
@@ -162,7 +162,7 @@ impl BayesEngine {
 
     /// Posterior over quality given named observations, or `None`
     /// when nothing in the slice is usable evidence. Evidence is
-    /// canonicalized into [`VARS`] order before multiplying, so the
+    /// canonicalized into `VARS` order before multiplying, so the
     /// result is bit-identical under input permutation; duplicate
     /// metrics keep the last value, matching map semantics.
     pub fn posterior(evidence: &[(&str, f64)]) -> Option<[f64; 4]> {

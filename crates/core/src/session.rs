@@ -22,6 +22,7 @@ use crate::state_repo::{ObjectState, StateRepository};
 use crate::transformer::{
     MediaCache, MediaCacheStatsHandle, MediaKind, MediaObject, TransformerRegistry,
 };
+use crate::trapwatch::{ceil_utilization_pct, TrapWatch};
 use media::ezw;
 use media::image::Scene;
 use media::packetize::split_packets;
@@ -207,6 +208,17 @@ pub struct BsPeer {
     pub matcher: sempubsub::MatchEngine,
 }
 
+/// The `qosPlanAlert` watch on one subscriber leaf of a mounted shaping
+/// tree, sent through the extension agent of the client that mounted it.
+struct PlanWatch {
+    client: ClientId,
+    tree: htb::TreeStatsHandle,
+    node: usize,
+    /// `(bits_sent, at_us)` at the start of the current window.
+    window: (u64, u64),
+    watch: TrapWatch,
+}
+
 /// The collaboration session.
 pub struct CollaborationSession {
     /// The simulated network (public for test instrumentation).
@@ -231,13 +243,12 @@ pub struct CollaborationSession {
     /// Per-broker `local_suppressed` totals already credited to client
     /// `BusStats` via `note_suppressed` (so pump credits only deltas).
     broker_credited: Vec<u64>,
-    /// One custody-store high-watermark watcher per broker, when
-    /// `SessionConfig::custody` is set.
-    store_watchers: Vec<crate::trapwatch::StoreWatcher>,
-    /// One plan-ceiling watcher per subscriber leaf of each mounted
-    /// shaping tree, paired with the client whose extension agent
-    /// emits the trap.
-    plan_watchers: Vec<(ClientId, crate::trapwatch::PlanWatcher)>,
+    /// One custody-store high-watermark watch per broker, keyed by
+    /// broker index, when `SessionConfig::custody` is set.
+    store_watches: Vec<(usize, dtn::StoreStatsHandle, TrapWatch)>,
+    /// One plan-ceiling watch per subscriber leaf of each mounted
+    /// shaping tree.
+    plan_watches: Vec<PlanWatch>,
     /// Lock-free per-shard delivery/drop counters, one per pump worker
     /// (sized on first pump). Readable live from any thread.
     shard_counters: Vec<crate::shard::ShardCounters>,
@@ -261,7 +272,7 @@ impl CollaborationSession {
         let mut overlay = None;
         let mut broker_agents = Vec::new();
         let mut broker_credited = Vec::new();
-        let mut store_watchers = Vec::new();
+        let mut store_watches = Vec::new();
         if let Some(n) = cfg.domains {
             assert!(n > 0, "brokered session needs at least one domain");
             let mut ov = broker::Overlay::new();
@@ -281,11 +292,8 @@ impl CollaborationSession {
                 broker::install_broker_metrics(&mut agent, i as u32, &ov.stats(b));
                 if let (Some(store_cfg), Some(stats)) = (cfg.custody, ov.store_stats(b)) {
                     dtn::install_store_metrics(&mut agent, i as u32, &stats);
-                    store_watchers.push(crate::trapwatch::StoreWatcher::new(
-                        i as u32,
-                        stats,
-                        store_cfg.high_watermark_bytes(),
-                    ));
+                    let watch = TrapWatch::store(i as u32, store_cfg.high_watermark_bytes());
+                    store_watches.push((i, stats, watch));
                 }
                 let rt = AgentRuntime::bind(&mut net, ov.node(b), agent)
                     .expect("fresh broker node binds its agent port");
@@ -312,8 +320,8 @@ impl CollaborationSession {
             overlay,
             broker_agents,
             broker_credited,
-            store_watchers,
-            plan_watchers: Vec::new(),
+            store_watches,
+            plan_watches: Vec::new(),
             shard_counters: Vec::new(),
             media_cache: MediaCache::with_capacity(32),
         }
@@ -513,8 +521,9 @@ impl CollaborationSession {
     /// flow of the client, so the tree models a shared ISP uplink with
     /// one leaf per destination. Exposes the per-node counters as
     /// `tassl.24.*` table rows through the client's SNMP extension
-    /// agent and arms one `qosPlanAlert` watcher (95% ceiling
-    /// utilisation) per subscriber leaf; service them with
+    /// agent and arms one `qosPlanAlert` watch (95% ceiling
+    /// utilisation, windowed from mount time) per subscriber leaf;
+    /// service them with
     /// [`CollaborationSession::service_plan_alerts`]. Returns the
     /// stats handle for direct inspection. Sessions without a tree
     /// behave bit-identically to before the tree existed.
@@ -523,11 +532,16 @@ impl CollaborationSession {
         let link = self.clients[id].link;
         let handle = self.net.attach_tree(link, spec);
         crate::trapwatch::install_tree_metrics(&mut self.agents[id].agent, &handle);
+        // Each leaf's first window opens at mount time, not at t = 0.
+        let window = (0, self.net.now().as_micros());
         for (node, _dst) in subscribers {
-            self.plan_watchers.push((
-                id,
-                crate::trapwatch::PlanWatcher::new(node as u32, handle.clone(), 95.0),
-            ));
+            self.plan_watches.push(PlanWatch {
+                client: id,
+                tree: handle.clone(),
+                node,
+                window,
+                watch: TrapWatch::plan(node as u32, 95.0),
+            });
         }
         handle
     }
@@ -594,12 +608,9 @@ impl CollaborationSession {
     /// after its store drains back below the watermark.
     pub fn service_store_alerts(&mut self, sink_node: simnet::NodeId) -> usize {
         let mut sent = 0;
-        for (w, rt) in self
-            .store_watchers
-            .iter_mut()
-            .zip(self.broker_agents.iter_mut())
-        {
-            if w.service(&mut self.net, rt, sink_node) {
+        for (broker, stats, watch) in &mut self.store_watches {
+            let rt = &mut self.broker_agents[*broker];
+            if watch.observe(stats.stored_bytes() as f64, &mut self.net, rt, sink_node) {
                 sent += 1;
             }
         }
@@ -612,9 +623,12 @@ impl CollaborationSession {
     /// Returns the number of traps sent. Edge-triggered: a leaf
     /// re-alerts only after a window back below the threshold.
     pub fn service_plan_alerts(&mut self, sink_node: simnet::NodeId) -> usize {
+        let now_us = self.net.now().as_micros();
         let mut sent = 0;
-        for (id, w) in self.plan_watchers.iter_mut() {
-            if w.service(&mut self.net, &mut self.agents[*id], sink_node) {
+        for p in &mut self.plan_watches {
+            let pct = ceil_utilization_pct(&p.tree, p.node, &mut p.window, now_us);
+            let rt = &mut self.agents[p.client];
+            if p.watch.observe(pct, &mut self.net, rt, sink_node) {
                 sent += 1;
             }
         }
@@ -634,8 +648,8 @@ impl CollaborationSession {
         let s = speed.clone();
         agent
             .mib_mut()
-            .register_computed(snmp::oid::arcs::if_speed(1), move || {
-                snmp::SnmpValue::Gauge32(s.load(Ordering::Relaxed).min(u32::MAX as u64) as u32)
+            .register_gauge(snmp::oid::arcs::if_speed(1), move || {
+                s.load(Ordering::Relaxed)
             });
         let rt = AgentRuntime::bind(&mut self.net, node, agent).map_err(|e| e.to_string())?;
         self.agents.push(rt);
@@ -1514,6 +1528,44 @@ mod tests {
         assert_eq!(
             s.broker_mib_get(1, &arcs::broker_suppressed(1)),
             Some(snmp::SnmpValue::Counter32(b1.suppressed() as u32))
+        );
+    }
+
+    #[test]
+    fn plan_watch_mounted_late_alerts_on_its_first_window() {
+        use simnet::Addr;
+        use snmp::transport::TrapSink;
+
+        let (mut s, publisher, viewer) = two_client_session();
+        let station = s.add_router("station", 100_000_000).unwrap();
+        let mut sink = TrapSink::bind(&mut s.net, station).unwrap();
+        s.net.run_for(Ticks::from_secs(10));
+
+        // Mount a 2 Mbit/s-ceiling leaf for the viewer at t = 10 s.
+        let (src, dst) = (s.client(publisher).node, s.client(viewer).node);
+        let mut spec = htb::TreeSpec::new(8_000_000);
+        let site = spec.add_site("site", 8_000_000, 8_000_000);
+        let plan = htb::RatePlan::new("bronze", 1_000_000, 2_000_000);
+        spec.add_subscriber(site, "viewer", &plan, dst.0);
+        s.attach_tree(publisher, spec);
+
+        // 120 kB offered saturates the ceiling for the whole 100 ms
+        // window that opened at mount time.
+        let tx = s.net.bind(src, Port(7100)).unwrap();
+        let _rx = s.net.bind(dst, Port(7100)).unwrap();
+        for _ in 0..120 {
+            s.net
+                .send(tx, Addr::unicast(dst, Port(7100)), vec![0u8; 1_000])
+                .unwrap();
+        }
+        s.net.run_for(Ticks::from_millis(100));
+        assert_eq!(s.service_plan_alerts(station), 1);
+
+        s.net.run_for(Ticks::from_millis(5));
+        assert_eq!(sink.service(&mut s.net), 1);
+        assert_eq!(
+            sink.traps[0].pdu.varbinds[1].value,
+            snmp::SnmpValue::Oid(crate::trapwatch::qos_plan_alert_trap_oid())
         );
     }
 

@@ -3,11 +3,14 @@
 //! Polling the MIB (the [`crate::netstate`] path) costs a round trip
 //! per sample. SNMP's other half is the asynchronous **trap**: the
 //! paper's embedded extension agent can notify the management station
-//! the moment a parameter crosses a threshold. [`HostWatcher`] turns a
-//! simulated host's metrics into edge-triggered SNMPv2 traps carrying
-//! the offending variable, and [`decision_from_trap`] lets an
-//! inference engine react to the trap payload directly — adaptation
-//! latency becomes one one-way message instead of a poll interval.
+//! the moment a parameter crosses a threshold. A [`TrapWatch`] is one
+//! edge-triggered threshold on one variable — host load, RTP loss,
+//! ECN-echo congestion, custody-store bytes or plan-ceiling
+//! utilisation; the caller samples the value and the watch sends one
+//! SNMPv2 trap per fresh crossing carrying it. [`decision_from_trap`]
+//! lets an inference engine react to the trap payload directly —
+//! adaptation latency becomes one one-way message instead of a poll
+//! interval.
 
 use crate::inference::AdaptationDecision;
 use crate::policy::AdaptationPolicy;
@@ -17,7 +20,6 @@ use snmp::pdu::{Message, VarBind};
 use snmp::transport::AgentRuntime;
 use snmp::SnmpValue;
 use std::collections::BTreeMap;
-use sysmon::SharedHost;
 
 /// Trap OID for a QoS alert from the host extension agent
 /// (tasslQosAlert = 1.3.6.1.4.1.99999.10).
@@ -57,371 +59,149 @@ pub enum Direction {
     Falling,
 }
 
-/// One armed threshold.
+/// One edge-triggered threshold watch: it fires at most once per
+/// crossing, re-arms when the value returns to the other side, and
+/// each firing sends one trap carrying the observed value as a single
+/// `Gauge32` varbind.
+///
+/// The named constructors pair each trap OID with the variable it
+/// reports, so that pairing is decided here and nowhere else.
 #[derive(Debug, Clone)]
-pub struct Watch {
-    /// Metric name as the inference engine knows it.
-    pub metric: String,
-    /// Variable OID included in the trap.
-    pub oid: Oid,
-    /// Threshold value.
-    pub threshold: f64,
-    /// Crossing direction.
-    pub direction: Direction,
+pub struct TrapWatch {
+    trap: Oid,
+    var: Oid,
+    threshold: f64,
+    direction: Direction,
     armed: bool,
+    /// Traps emitted so far.
+    pub traps_sent: u64,
 }
 
-impl Watch {
-    /// A rising watch on `metric`.
-    pub fn rising(metric: &str, oid: Oid, threshold: f64) -> Watch {
-        Watch {
-            metric: metric.to_string(),
-            oid,
+impl TrapWatch {
+    /// Fire `trap` when the value rises to or above `threshold`.
+    pub fn rising(trap: Oid, var: Oid, threshold: f64) -> TrapWatch {
+        TrapWatch {
+            trap,
+            var,
             threshold,
             direction: Direction::Rising,
             armed: true,
+            traps_sent: 0,
         }
     }
 
-    /// A falling watch on `metric`.
-    pub fn falling(metric: &str, oid: Oid, threshold: f64) -> Watch {
-        Watch {
-            metric: metric.to_string(),
-            oid,
-            threshold,
+    /// Fire `trap` when the value falls to or below `threshold`.
+    pub fn falling(trap: Oid, var: Oid, threshold: f64) -> TrapWatch {
+        TrapWatch {
             direction: Direction::Falling,
-            armed: true,
+            ..TrapWatch::rising(trap, var, threshold)
         }
     }
 
-    /// Edge-triggered evaluation: fires at most once per crossing, and
-    /// re-arms when the metric returns to the other side.
+    /// `qosAlert` when host variable `var` (e.g.
+    /// [`arcs::host_page_faults`]) rises to or above `threshold`.
+    pub fn host(var: Oid, threshold: f64) -> TrapWatch {
+        TrapWatch::rising(qos_alert_trap_oid(), var, threshold)
+    }
+
+    /// `qosAlert` when the receiver-report loss percentage rises to or
+    /// above `threshold_pct` — the §5.1 recovery layer feeding the
+    /// §5.2 adaptation loop: sustained loss the NACK path cannot hide
+    /// lets the inference engine switch modality.
+    pub fn loss(threshold_pct: f64) -> TrapWatch {
+        TrapWatch::rising(qos_alert_trap_oid(), arcs::host_rtp_loss(), threshold_pct)
+    }
+
+    /// `qosCongestionAlert` when the echoed ECN-CE percentage
+    /// ([`simnet::rtp::ReceiverReport::fraction_ecn_ce`]) rises to or
+    /// above `threshold_pct` — the pre-loss half of the feedback loop,
+    /// so policy can shift modality *before* the first packet is lost.
+    pub fn congestion(threshold_pct: f64) -> TrapWatch {
+        TrapWatch::rising(
+            qos_congestion_alert_trap_oid(),
+            arcs::host_congestion(),
+            threshold_pct,
+        )
+    }
+
+    /// `qosStoreAlert` when broker `broker`'s stored custody bytes rise
+    /// to `threshold_bytes` (typically
+    /// [`dtn::StoreConfig::high_watermark_bytes`]): the partition is
+    /// outlasting the store, and eviction of unexpired bundles is next.
+    pub fn store(broker: u32, threshold_bytes: u64) -> TrapWatch {
+        TrapWatch::rising(
+            qos_store_alert_trap_oid(),
+            arcs::store_bytes(broker),
+            threshold_bytes as f64,
+        )
+    }
+
+    /// `qosPlanAlert` when shaping-tree leaf `node`'s windowed ceiling
+    /// utilisation ([`ceil_utilization_pct`]) rises to or above
+    /// `threshold_pct`.
+    pub fn plan(node: u32, threshold_pct: f64) -> TrapWatch {
+        TrapWatch::rising(
+            qos_plan_alert_trap_oid(),
+            arcs::htb_node_util(node),
+            threshold_pct,
+        )
+    }
+
+    /// Whether `value` is a fresh crossing; updates the armed state.
     fn evaluate(&mut self, value: f64) -> bool {
         let beyond = match self.direction {
             Direction::Rising => value >= self.threshold,
             Direction::Falling => value <= self.threshold,
         };
-        if beyond && self.armed {
-            self.armed = false;
-            true
-        } else {
-            if !beyond {
-                self.armed = true;
-            }
-            false
-        }
-    }
-}
-
-/// Watches a host's live metrics and emits traps on crossings.
-pub struct HostWatcher {
-    host: SharedHost,
-    watches: Vec<Watch>,
-    /// Traps emitted so far.
-    pub traps_sent: u64,
-}
-
-impl HostWatcher {
-    /// Watch `host` with the given thresholds.
-    pub fn new(host: SharedHost, watches: Vec<Watch>) -> HostWatcher {
-        HostWatcher {
-            host,
-            watches,
-            traps_sent: 0,
-        }
+        let fire = beyond && self.armed;
+        self.armed = !beyond;
+        fire
     }
 
-    /// The standard pair: page faults rising past 80, CPU rising past 90.
-    pub fn standard(host: SharedHost) -> HostWatcher {
-        HostWatcher::new(
-            host,
-            vec![
-                Watch::rising("page_faults", arcs::host_page_faults(), 80.0),
-                Watch::rising("cpu_load", arcs::host_cpu_load(), 90.0),
-            ],
-        )
-    }
-
-    /// Check every watch against the current host state; emit one trap
-    /// per fresh crossing through `agent_rt` towards `sink_node`.
-    /// Returns the number of traps sent.
-    pub fn service(
-        &mut self,
-        net: &mut Network,
-        agent_rt: &mut AgentRuntime,
-        sink_node: simnet::NodeId,
-    ) -> usize {
-        let state = *self.host.lock().unwrap();
-        let mut sent = 0;
-        for w in &mut self.watches {
-            let value = match w.metric.as_str() {
-                "page_faults" => state.page_faults,
-                "cpu_load" => state.cpu_load,
-                "mem_avail_kb" => state.mem_avail_kb,
-                _ => continue,
-            };
-            if w.evaluate(value) {
-                agent_rt.send_trap(
-                    net,
-                    sink_node,
-                    qos_alert_trap_oid(),
-                    vec![VarBind::bound(
-                        w.oid.clone(),
-                        SnmpValue::Gauge32(value.round().max(0.0) as u32),
-                    )],
-                );
-                self.traps_sent += 1;
-                sent += 1;
-            }
-        }
-        sent
-    }
-}
-
-/// Watches a measured RTP stream and emits a QoS-alert trap when the
-/// receiver-report loss fraction crosses a threshold — the §5.1
-/// recovery layer feeding the §5.2 adaptation loop: sustained loss the
-/// NACK path cannot hide becomes a one-way notification that lets the
-/// inference engine switch modality.
-pub struct LossWatcher {
-    watch: Watch,
-    /// Traps emitted so far.
-    pub traps_sent: u64,
-}
-
-impl LossWatcher {
-    /// Fire when measured loss rises to or above `threshold_pct`
-    /// percent; re-arms when it falls back below.
-    pub fn new(threshold_pct: f64) -> LossWatcher {
-        LossWatcher {
-            watch: Watch::rising("loss_pct", arcs::host_rtp_loss(), threshold_pct),
-            traps_sent: 0,
-        }
-    }
-
-    /// Evaluate `report` and emit a trap towards `sink_node` on a fresh
-    /// crossing. Returns true when a trap was sent.
+    /// Evaluate `value`; on a fresh crossing send one trap through
+    /// `agent_rt` towards `sink`. Returns true when a trap was sent.
     pub fn observe(
         &mut self,
+        value: f64,
         net: &mut Network,
         agent_rt: &mut AgentRuntime,
-        sink_node: simnet::NodeId,
-        report: &simnet::rtp::ReceiverReport,
+        sink: simnet::NodeId,
     ) -> bool {
-        let loss_pct = report.fraction_lost * 100.0;
-        if self.watch.evaluate(loss_pct) {
-            agent_rt.send_trap(
-                net,
-                sink_node,
-                qos_alert_trap_oid(),
-                vec![VarBind::bound(
-                    arcs::host_rtp_loss(),
-                    SnmpValue::Gauge32(loss_pct.round().max(0.0) as u32),
-                )],
-            );
-            self.traps_sent += 1;
-            true
-        } else {
-            false
+        if !self.evaluate(value) {
+            return false;
         }
+        let gauge = value.round().clamp(0.0, u32::MAX as f64) as u32;
+        agent_rt.send_trap(
+            net,
+            sink,
+            self.trap.clone(),
+            vec![VarBind::bound(self.var.clone(), SnmpValue::Gauge32(gauge))],
+        );
+        self.traps_sent += 1;
+        true
     }
 }
 
-/// Watches the ECN-echo congestion fraction of a measured RTP stream
-/// and emits a `qosCongestionAlert` trap when it crosses a threshold.
-///
-/// This is the pre-loss half of the feedback loop: a link's AQM marks
-/// ECN-capable packets while it would still be queueing (not dropping)
-/// anything else, the receiver echoes the marks
-/// ([`simnet::rtp::ReceiverReport::fraction_ecn_ce`]), and this
-/// watcher turns a sustained mark rate into a one-way notification so
-/// policy can shift modality (image → sketch → text) *before* the
-/// first packet is lost.
-pub struct CongestionWatcher {
-    watch: Watch,
-    /// Traps emitted so far.
-    pub traps_sent: u64,
-}
-
-impl CongestionWatcher {
-    /// Fire when the echoed CE fraction rises to or above
-    /// `threshold_pct` percent; re-arms when it falls back below.
-    pub fn new(threshold_pct: f64) -> CongestionWatcher {
-        CongestionWatcher {
-            watch: Watch::rising("congestion_pct", arcs::host_congestion(), threshold_pct),
-            traps_sent: 0,
-        }
+/// Ceiling utilisation (percent) of shaping-tree node `node` over the
+/// window from `window = (bits_sent, at_us)` to `now_us`, computed from
+/// the delta of the node's `bits_sent` counter; advances the window.
+/// The polling cadence *is* the averaging window: call it once per
+/// reporting interval, starting the window when the tree is mounted.
+pub fn ceil_utilization_pct(
+    stats: &htb::TreeShared,
+    node: usize,
+    window: &mut (u64, u64),
+    now_us: u64,
+) -> f64 {
+    let bits = stats.bits_sent(node);
+    let delta_bits = bits.saturating_sub(window.0);
+    let dt_us = now_us.saturating_sub(window.1);
+    *window = (bits, now_us);
+    let ceil = stats.ceil_bps(node);
+    if dt_us == 0 || ceil == 0 {
+        return 0.0;
     }
-
-    /// Evaluate `report` and emit a trap towards `sink_node` on a
-    /// fresh crossing. Returns true when a trap was sent.
-    pub fn observe(
-        &mut self,
-        net: &mut Network,
-        agent_rt: &mut AgentRuntime,
-        sink_node: simnet::NodeId,
-        report: &simnet::rtp::ReceiverReport,
-    ) -> bool {
-        let congestion_pct = report.fraction_ecn_ce * 100.0;
-        if self.watch.evaluate(congestion_pct) {
-            agent_rt.send_trap(
-                net,
-                sink_node,
-                qos_congestion_alert_trap_oid(),
-                vec![VarBind::bound(
-                    arcs::host_congestion(),
-                    SnmpValue::Gauge32(congestion_pct.round().max(0.0) as u32),
-                )],
-            );
-            self.traps_sent += 1;
-            true
-        } else {
-            false
-        }
-    }
-}
-
-/// Watches a broker's custody store and emits a `qosStoreAlert` trap
-/// when stored bytes rise to the quota high watermark.
-///
-/// The disruption-tolerant store absorbs traffic for as long as a
-/// partition lasts; this watcher is how the management station learns
-/// the partition is outlasting the buffer *before* deterministic
-/// eviction starts discarding unexpired bundles. Edge-triggered like
-/// every other watch: one trap per crossing, re-armed when the store
-/// drains back below the watermark.
-pub struct StoreWatcher {
-    broker: u32,
-    stats: dtn::StoreStatsHandle,
-    watch: Watch,
-    /// Traps emitted so far.
-    pub traps_sent: u64,
-}
-
-impl StoreWatcher {
-    /// Watch broker `broker`'s store, firing when `stats` reports
-    /// stored bytes at or above `threshold_bytes` (typically
-    /// [`dtn::StoreConfig::high_watermark_bytes`]).
-    pub fn new(broker: u32, stats: dtn::StoreStatsHandle, threshold_bytes: u64) -> StoreWatcher {
-        StoreWatcher {
-            broker,
-            stats,
-            watch: Watch::rising(
-                "store_bytes",
-                arcs::store_bytes(broker),
-                threshold_bytes as f64,
-            ),
-            traps_sent: 0,
-        }
-    }
-
-    /// Check the live gauge; emit a trap towards `sink_node` on a
-    /// fresh crossing. Returns true when a trap was sent.
-    pub fn service(
-        &mut self,
-        net: &mut Network,
-        agent_rt: &mut AgentRuntime,
-        sink_node: simnet::NodeId,
-    ) -> bool {
-        let bytes = self.stats.stored_bytes();
-        if self.watch.evaluate(bytes as f64) {
-            agent_rt.send_trap(
-                net,
-                sink_node,
-                qos_store_alert_trap_oid(),
-                vec![VarBind::bound(
-                    arcs::store_bytes(self.broker),
-                    SnmpValue::Gauge32(bytes.min(u32::MAX as u64) as u32),
-                )],
-            );
-            self.traps_sent += 1;
-            true
-        } else {
-            false
-        }
-    }
-}
-
-/// Watches one subscriber leaf of a hierarchical shaping tree and
-/// emits a `qosPlanAlert` trap when the leaf's measured throughput
-/// saturates its plan ceiling over a sustained window.
-///
-/// Utilisation is computed from deltas of the leaf's `bits_sent`
-/// counter between consecutive [`PlanWatcher::service`] calls, so the
-/// polling cadence *is* the averaging window: call it once per
-/// reporting interval. Edge-triggered like every other watch — one
-/// trap per crossing, re-armed when utilisation falls back below the
-/// threshold.
-pub struct PlanWatcher {
-    node: u32,
-    stats: htb::TreeStatsHandle,
-    watch: Watch,
-    last_bits: u64,
-    last_us: u64,
-    /// Traps emitted so far.
-    pub traps_sent: u64,
-}
-
-impl PlanWatcher {
-    /// Watch tree node `node` (a subscriber leaf index into `stats`),
-    /// firing when its windowed ceiling utilisation rises to or above
-    /// `threshold_pct` percent.
-    pub fn new(node: u32, stats: htb::TreeStatsHandle, threshold_pct: f64) -> PlanWatcher {
-        PlanWatcher {
-            node,
-            stats,
-            watch: Watch::rising("congestion_pct", arcs::htb_node_util(node), threshold_pct),
-            last_bits: 0,
-            last_us: 0,
-            traps_sent: 0,
-        }
-    }
-
-    /// The tree node this watcher observes.
-    pub fn node(&self) -> u32 {
-        self.node
-    }
-
-    /// Ceiling utilisation (percent) over the window ending at `now_us`
-    /// and starting at the previous call; advances the window.
-    fn utilization_pct(&mut self, now_us: u64) -> f64 {
-        let bits = self.stats.bits_sent(self.node as usize);
-        let delta_bits = bits.saturating_sub(self.last_bits);
-        let dt_us = now_us.saturating_sub(self.last_us);
-        self.last_bits = bits;
-        self.last_us = now_us;
-        let ceil = self.stats.ceil_bps(self.node as usize);
-        if dt_us == 0 || ceil == 0 {
-            return 0.0;
-        }
-        delta_bits as f64 * 1e6 * 100.0 / (ceil as f64 * dt_us as f64)
-    }
-
-    /// Measure the window ending now; emit a trap towards `sink_node`
-    /// on a fresh crossing. Returns true when a trap was sent.
-    pub fn service(
-        &mut self,
-        net: &mut Network,
-        agent_rt: &mut AgentRuntime,
-        sink_node: simnet::NodeId,
-    ) -> bool {
-        let pct = self.utilization_pct(net.now().as_micros());
-        if self.watch.evaluate(pct) {
-            agent_rt.send_trap(
-                net,
-                sink_node,
-                qos_plan_alert_trap_oid(),
-                vec![VarBind::bound(
-                    arcs::htb_node_util(self.node),
-                    SnmpValue::Gauge32(pct.round().clamp(0.0, u32::MAX as f64) as u32),
-                )],
-            );
-            self.traps_sent += 1;
-            true
-        } else {
-            false
-        }
-    }
+    delta_bits as f64 * 1e6 * 100.0 / (ceil as f64 * dt_us as f64)
 }
 
 /// Expose a mounted traffic-control plane's live counters as MIB
@@ -435,26 +215,18 @@ pub fn install_qdisc_metrics(
     link: simnet::LinkId,
     stats: &simnet::qdisc::StatsHandle,
 ) {
-    use std::sync::atomic::Ordering;
-    let clamp = |v: u64| SnmpValue::Gauge32(v.min(u32::MAX as u64) as u32);
+    use std::sync::atomic::Ordering::Relaxed;
+    let mib = agent.mib_mut();
     let s = stats.clone();
-    agent
-        .mib_mut()
-        .register_computed(arcs::qdisc_backlog(link.0), move || {
-            clamp(s.backlog_bytes.load(Ordering::Relaxed))
-        });
+    mib.register_gauge(arcs::qdisc_backlog(link.0), move || {
+        s.backlog_bytes.load(Relaxed)
+    });
     let s = stats.clone();
-    agent
-        .mib_mut()
-        .register_computed(arcs::qdisc_drops(link.0), move || {
-            SnmpValue::Counter32(s.drops.load(Ordering::Relaxed) as u32)
-        });
+    mib.register_counter(arcs::qdisc_drops(link.0), move || s.drops.load(Relaxed));
     let s = stats.clone();
-    agent
-        .mib_mut()
-        .register_computed(arcs::qdisc_ecn_marks(link.0), move || {
-            SnmpValue::Counter32(s.ecn_marks.load(Ordering::Relaxed) as u32)
-        });
+    mib.register_counter(arcs::qdisc_ecn_marks(link.0), move || {
+        s.ecn_marks.load(Relaxed)
+    });
 }
 
 /// Expose a mounted shaping tree's per-node counters as MIB table rows
@@ -466,45 +238,23 @@ pub fn install_qdisc_metrics(
 /// [`simnet::Network::attach_tree`]; the agent samples it at query
 /// time, so GETs always see the current values.
 pub fn install_tree_metrics(agent: &mut snmp::SnmpAgent, stats: &htb::TreeStatsHandle) {
-    let gauge = |v: u64| SnmpValue::Gauge32(v.min(u32::MAX as u64) as u32);
+    let mib = agent.mib_mut();
     for node in 0..stats.node_count() {
         let n = node as u32;
         let s = stats.clone();
-        agent
-            .mib_mut()
-            .register_computed(arcs::htb_node_rate(n), move || {
-                gauge(s.rate_bps(node) / 1_000)
-            });
+        mib.register_gauge(arcs::htb_node_rate(n), move || s.rate_bps(node) / 1_000);
         let s = stats.clone();
-        agent
-            .mib_mut()
-            .register_computed(arcs::htb_node_ceil(n), move || {
-                gauge(s.ceil_bps(node) / 1_000)
-            });
+        mib.register_gauge(arcs::htb_node_ceil(n), move || s.ceil_bps(node) / 1_000);
         let s = stats.clone();
-        agent
-            .mib_mut()
-            .register_computed(arcs::htb_node_backlog(n), move || {
-                gauge(s.backlog_bytes(node))
-            });
+        mib.register_gauge(arcs::htb_node_backlog(n), move || s.backlog_bytes(node));
         let s = stats.clone();
-        agent
-            .mib_mut()
-            .register_computed(arcs::htb_node_drops(n), move || {
-                SnmpValue::Counter32(s.drops(node) as u32)
-            });
+        mib.register_counter(arcs::htb_node_drops(n), move || s.drops(node));
         let s = stats.clone();
-        agent
-            .mib_mut()
-            .register_computed(arcs::htb_node_ecn_marks(n), move || {
-                SnmpValue::Counter32(s.ecn_marks(node) as u32)
-            });
+        mib.register_counter(arcs::htb_node_ecn_marks(n), move || s.ecn_marks(node));
         let s = stats.clone();
-        agent
-            .mib_mut()
-            .register_computed(arcs::htb_node_borrowed_bits(n), move || {
-                SnmpValue::Counter32(s.borrowed_bits(node) as u32)
-            });
+        mib.register_counter(arcs::htb_node_borrowed_bits(n), move || {
+            s.borrowed_bits(node)
+        });
     }
 }
 
@@ -514,24 +264,13 @@ pub fn install_tree_metrics(agent: &mut snmp::SnmpAgent, stats: &htb::TreeStatsH
 /// from [`sempubsub::BusEndpoint::cache_stats`]; the agent samples it
 /// at query time, so GETs always see the current values.
 pub fn install_cache_metrics(agent: &mut snmp::SnmpAgent, stats: &sempubsub::CacheStatsHandle) {
+    let mib = agent.mib_mut();
     let s = stats.clone();
-    agent
-        .mib_mut()
-        .register_computed(arcs::cache_hits(), move || {
-            SnmpValue::Counter32(s.hits() as u32)
-        });
+    mib.register_counter(arcs::cache_hits(), move || s.hits());
     let s = stats.clone();
-    agent
-        .mib_mut()
-        .register_computed(arcs::cache_misses(), move || {
-            SnmpValue::Counter32(s.misses() as u32)
-        });
+    mib.register_counter(arcs::cache_misses(), move || s.misses());
     let s = stats.clone();
-    agent
-        .mib_mut()
-        .register_computed(arcs::cache_evictions(), move || {
-            SnmpValue::Counter32(s.evictions() as u32)
-        });
+    mib.register_counter(arcs::cache_evictions(), move || s.evictions());
 }
 
 /// Interpret a received QoS-alert or congestion-alert trap: extract
@@ -601,21 +340,51 @@ mod tests {
         (net, rt, sink, host, nodes[0])
     }
 
+    /// The standard host pair: page faults rising past 80, CPU rising
+    /// past 90.
+    fn standard_host_watches() -> [TrapWatch; 2] {
+        [
+            TrapWatch::host(arcs::host_page_faults(), 80.0),
+            TrapWatch::host(arcs::host_cpu_load(), 90.0),
+        ]
+    }
+
+    /// Observe `host`'s current page faults and CPU load with the
+    /// standard pair; returns the number of traps sent.
+    fn service_host(
+        watches: &mut [TrapWatch; 2],
+        host: &SimHost,
+        net: &mut Network,
+        rt: &mut AgentRuntime,
+        station: simnet::NodeId,
+    ) -> usize {
+        let state = host.state();
+        let [faults, cpu] = watches;
+        usize::from(faults.observe(state.page_faults, net, rt, station))
+            + usize::from(cpu.observe(state.cpu_load, net, rt, station))
+    }
+
     #[test]
     fn crossing_fires_exactly_once() {
         let (mut net, mut rt, mut sink, mut host, station) = world();
-        let mut watcher = HostWatcher::standard(host.shared());
+        let mut watcher = standard_host_watches();
         // Below threshold: nothing.
-        assert_eq!(watcher.service(&mut net, &mut rt, station), 0);
+        assert_eq!(
+            service_host(&mut watcher, &host, &mut net, &mut rt, station),
+            0
+        );
         // Cross: one trap, and only one even if checked repeatedly.
         host.force(HostState {
             cpu_load: 20.0,
             page_faults: 85.0,
             mem_avail_kb: 1024.0,
         });
-        assert_eq!(watcher.service(&mut net, &mut rt, station), 1);
         assert_eq!(
-            watcher.service(&mut net, &mut rt, station),
+            service_host(&mut watcher, &host, &mut net, &mut rt, station),
+            1
+        );
+        assert_eq!(
+            service_host(&mut watcher, &host, &mut net, &mut rt, station),
             0,
             "edge-triggered"
         );
@@ -626,7 +395,7 @@ mod tests {
     #[test]
     fn rearms_after_recovery() {
         let (mut net, mut rt, mut sink, mut host, station) = world();
-        let mut watcher = HostWatcher::standard(host.shared());
+        let mut watcher = standard_host_watches();
         let spike = HostState {
             cpu_load: 20.0,
             page_faults: 95.0,
@@ -638,26 +407,30 @@ mod tests {
             mem_avail_kb: 1024.0,
         };
         host.force(spike);
-        watcher.service(&mut net, &mut rt, station);
+        service_host(&mut watcher, &host, &mut net, &mut rt, station);
         host.force(calm);
-        watcher.service(&mut net, &mut rt, station);
+        service_host(&mut watcher, &host, &mut net, &mut rt, station);
         host.force(spike);
-        assert_eq!(watcher.service(&mut net, &mut rt, station), 1, "re-armed");
+        assert_eq!(
+            service_host(&mut watcher, &host, &mut net, &mut rt, station),
+            1,
+            "re-armed"
+        );
         net.run_for(Ticks::from_millis(5));
         assert_eq!(sink.service(&mut net), 2);
-        assert_eq!(watcher.traps_sent, 2);
+        assert_eq!(watcher.iter().map(|w| w.traps_sent).sum::<u64>(), 2);
     }
 
     #[test]
     fn trap_payload_drives_the_engine() {
         let (mut net, mut rt, mut sink, mut host, station) = world();
-        let mut watcher = HostWatcher::standard(host.shared());
+        let mut watcher = standard_host_watches();
         host.force(HostState {
             cpu_load: 20.0,
             page_faults: 90.0,
             mem_avail_kb: 1024.0,
         });
-        watcher.service(&mut net, &mut rt, station);
+        service_host(&mut watcher, &host, &mut net, &mut rt, station);
         net.run_for(Ticks::from_millis(5));
         sink.service(&mut net);
         let engine =
@@ -679,14 +452,14 @@ mod tests {
     fn loss_trap_switches_modality() {
         use simnet::rtp::ReceiverReport;
         let (mut net, mut rt, mut sink, _host, station) = world();
-        let mut watcher = LossWatcher::new(10.0);
+        let mut watcher = TrapWatch::loss(10.0);
         let calm = ReceiverReport {
             received: 99,
             lost: 1,
             fraction_lost: 0.01,
             ..Default::default()
         };
-        assert!(!watcher.observe(&mut net, &mut rt, station, &calm));
+        assert!(!watcher.observe(calm.fraction_lost * 100.0, &mut net, &mut rt, station));
         // Wireless-grade burst loss the NACK budget could not hide.
         let bursty = ReceiverReport {
             received: 80,
@@ -694,9 +467,9 @@ mod tests {
             fraction_lost: 0.2,
             ..Default::default()
         };
-        assert!(watcher.observe(&mut net, &mut rt, station, &bursty));
+        assert!(watcher.observe(bursty.fraction_lost * 100.0, &mut net, &mut rt, station));
         assert!(
-            !watcher.observe(&mut net, &mut rt, station, &bursty),
+            !watcher.observe(bursty.fraction_lost * 100.0, &mut net, &mut rt, station),
             "edge-triggered"
         );
         net.run_for(Ticks::from_millis(5));
@@ -709,8 +482,8 @@ mod tests {
             "20% loss -> loss-heavy band"
         );
         // Recovery re-arms the watch.
-        assert!(!watcher.observe(&mut net, &mut rt, station, &calm));
-        assert!(watcher.observe(&mut net, &mut rt, station, &bursty));
+        assert!(!watcher.observe(calm.fraction_lost * 100.0, &mut net, &mut rt, station));
+        assert!(watcher.observe(bursty.fraction_lost * 100.0, &mut net, &mut rt, station));
         assert_eq!(watcher.traps_sent, 2);
     }
 
@@ -718,7 +491,7 @@ mod tests {
     fn congestion_trap_downgrades_before_loss() {
         use simnet::rtp::ReceiverReport;
         let (mut net, mut rt, mut sink, _host, station) = world();
-        let mut watcher = CongestionWatcher::new(10.0);
+        let mut watcher = TrapWatch::congestion(10.0);
         // Lightly marked stream with ZERO loss: below threshold.
         let calm = ReceiverReport {
             received: 100,
@@ -726,7 +499,7 @@ mod tests {
             fraction_ecn_ce: 0.02,
             ..Default::default()
         };
-        assert!(!watcher.observe(&mut net, &mut rt, station, &calm));
+        assert!(!watcher.observe(calm.fraction_ecn_ce * 100.0, &mut net, &mut rt, station));
         // AQM marking a quarter of the stream — still zero loss.
         let marked = ReceiverReport {
             received: 100,
@@ -734,9 +507,9 @@ mod tests {
             fraction_ecn_ce: 0.25,
             ..Default::default()
         };
-        assert!(watcher.observe(&mut net, &mut rt, station, &marked));
+        assert!(watcher.observe(marked.fraction_ecn_ce * 100.0, &mut net, &mut rt, station));
         assert!(
-            !watcher.observe(&mut net, &mut rt, station, &marked),
+            !watcher.observe(marked.fraction_ecn_ce * 100.0, &mut net, &mut rt, station),
             "edge-triggered"
         );
         net.run_for(Ticks::from_millis(5));
@@ -749,8 +522,8 @@ mod tests {
             "25% CE -> congestion-heavy band, despite fraction_lost == 0"
         );
         // Recovery re-arms the watch.
-        assert!(!watcher.observe(&mut net, &mut rt, station, &calm));
-        assert!(watcher.observe(&mut net, &mut rt, station, &marked));
+        assert!(!watcher.observe(calm.fraction_ecn_ce * 100.0, &mut net, &mut rt, station));
+        assert!(watcher.observe(marked.fraction_ecn_ce * 100.0, &mut net, &mut rt, station));
         assert_eq!(watcher.traps_sent, 2);
     }
 
@@ -854,19 +627,24 @@ mod tests {
     #[test]
     fn plan_alert_fires_on_sustained_ceiling_saturation() {
         let (mut net, stats, mut rt, mut sink, station, core, sub) = tree_world();
-        let mut watcher = PlanWatcher::new(3, stats, 95.0);
-        assert_eq!(watcher.node(), 3);
+        let node = 3;
+        let mut watcher = TrapWatch::plan(node as u32, 95.0);
+        let mut window = (0, 0);
+        let mut service = |net: &mut Network, rt: &mut AgentRuntime| {
+            let pct = ceil_utilization_pct(&stats, node, &mut window, net.now().as_micros());
+            watcher.observe(pct, net, rt, station)
+        };
 
         // Idle window: utilisation zero, nothing fires.
         net.run_for(Ticks::from_millis(10));
-        assert!(!watcher.service(&mut net, &mut rt, station));
+        assert!(!service(&mut net, &mut rt));
 
         // 120 kB offered against a 2 Mbit/s ceiling saturates the
         // leaf for the whole 100 ms window.
         saturate(&mut net, core, sub, 7100, 100);
-        assert!(watcher.service(&mut net, &mut rt, station));
+        assert!(service(&mut net, &mut rt));
         assert!(
-            !watcher.service(&mut net, &mut rt, station),
+            !service(&mut net, &mut rt),
             "edge-triggered: the crossing already fired"
         );
 
@@ -874,9 +652,9 @@ mod tests {
         // window is far below threshold, which re-arms the watch.
         net.run_to_quiescence();
         net.run_for(Ticks::from_millis(500));
-        assert!(!watcher.service(&mut net, &mut rt, station));
+        assert!(!service(&mut net, &mut rt));
         saturate(&mut net, core, sub, 7101, 100);
-        assert!(watcher.service(&mut net, &mut rt, station), "re-armed");
+        assert!(service(&mut net, &mut rt), "re-armed");
         assert_eq!(watcher.traps_sent, 2);
 
         net.run_for(Ticks::from_millis(5));
@@ -885,6 +663,7 @@ mod tests {
             sink.traps[0].pdu.varbinds[1].value,
             SnmpValue::Oid(qos_plan_alert_trap_oid())
         );
+        assert_eq!(sink.traps[0].pdu.varbinds[2].name, arcs::htb_node_util(3));
         // The saturation trap feeds the existing congestion band: a
         // leaf pinned at its ceiling downgrades modality exactly like
         // heavy ECN-echo marking would.
@@ -948,12 +727,32 @@ mod tests {
 
     #[test]
     fn falling_watch_direction() {
-        let mut w = Watch::falling("mem_avail_kb", arcs::host_mem_avail(), 512.0);
+        let mut w = TrapWatch::falling(qos_alert_trap_oid(), arcs::host_mem_avail(), 512.0);
         assert!(!w.evaluate(1024.0));
         assert!(w.evaluate(256.0));
         assert!(!w.evaluate(128.0), "still below: no re-fire");
         assert!(!w.evaluate(2048.0), "recovery alone does not fire");
         assert!(w.evaluate(100.0), "re-armed after recovery");
+    }
+
+    #[test]
+    fn trap_varbind_saturates_at_the_gauge32_range() {
+        let (mut net, mut rt, mut sink, _host, station) = world();
+        let mut high = TrapWatch::rising(qos_alert_trap_oid(), arcs::host_page_faults(), 80.0);
+        let mut low = TrapWatch::falling(qos_alert_trap_oid(), arcs::host_mem_avail(), 512.0);
+        assert!(high.observe(5e9, &mut net, &mut rt, station));
+        assert!(low.observe(-3.0, &mut net, &mut rt, station));
+        net.run_for(Ticks::from_millis(5));
+        assert_eq!(sink.service(&mut net), 2);
+        let varbind = |i: usize| sink.traps[i].pdu.varbinds[2].clone();
+        assert_eq!(
+            varbind(0),
+            VarBind::bound(arcs::host_page_faults(), SnmpValue::Gauge32(4_294_967_295))
+        );
+        assert_eq!(
+            varbind(1),
+            VarBind::bound(arcs::host_mem_avail(), SnmpValue::Gauge32(0))
+        );
     }
 
     #[test]
@@ -969,10 +768,14 @@ mod tests {
             ..StoreConfig::default()
         };
         let mut store = CustodyStore::new(cfg);
-        let mut watcher = StoreWatcher::new(0, store.stats(), cfg.high_watermark_bytes());
+        let stats = store.stats();
+        let mut watcher = TrapWatch::store(0, cfg.high_watermark_bytes());
+        let mut service = |net: &mut Network, rt: &mut AgentRuntime| {
+            watcher.observe(stats.stored_bytes() as f64, net, rt, station)
+        };
 
         // Empty store: below the watermark, no trap.
-        assert!(!watcher.service(&mut net, &mut rt, station));
+        assert!(!service(&mut net, &mut rt));
 
         // Fill past 50% of the byte quota.
         let now = net.now();
@@ -991,9 +794,9 @@ mod tests {
             assert!(store.insert(b, now).stored);
             seq += 1;
         }
-        assert!(watcher.service(&mut net, &mut rt, station));
+        assert!(service(&mut net, &mut rt));
         assert!(
-            !watcher.service(&mut net, &mut rt, station),
+            !service(&mut net, &mut rt),
             "edge-triggered: one trap per crossing"
         );
 
@@ -1002,7 +805,7 @@ mod tests {
             store.release(&b.source, b.seq);
         }
         assert_eq!(store.bytes(), 0);
-        assert!(!watcher.service(&mut net, &mut rt, station));
+        assert!(!service(&mut net, &mut rt));
         while store.bytes() < cfg.high_watermark_bytes() {
             let b = Bundle {
                 source: "client-0".into(),
@@ -1017,7 +820,7 @@ mod tests {
             assert!(store.insert(b, now).stored);
             seq += 1;
         }
-        assert!(watcher.service(&mut net, &mut rt, station), "re-armed");
+        assert!(service(&mut net, &mut rt), "re-armed");
         assert_eq!(watcher.traps_sent, 2);
 
         net.run_for(Ticks::from_millis(5));

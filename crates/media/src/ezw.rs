@@ -332,7 +332,7 @@ struct DecCand {
 }
 
 /// Reusable per-plane coder state: candidate lists, activation
-/// buckets, the subordinate list, and a cached [`Geometry`] (rebuilt
+/// buckets, the subordinate list, and a cached `Geometry` (rebuilt
 /// only when the plane shape changes). Shared by
 /// [`EzwEncoder::encode_plane_with`] and
 /// [`EzwDecoder::decode_plane_with`]; a default-constructed scratch is

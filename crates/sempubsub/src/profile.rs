@@ -83,7 +83,7 @@ pub struct Profile {
     attrs: BTreeMap<String, AttrValue>,
     interest: Option<Selector>,
     transforms: Vec<TransformCap>,
-    /// Stamped from [`PROFILE_GENERATION`] on every mutation, so
+    /// Stamped from `PROFILE_GENERATION` on every mutation, so
     /// components can cheaply detect change; globally unique across
     /// all profiles in the process (0 = pristine).
     pub version: u64,

@@ -2,7 +2,7 @@
 //!
 //! A drop-in replacement for the binary-heap [`crate::event::EventQueue`]
 //! on the simulator hot path. Scheduling is O(1): an event lands in a
-//! slot of one of [`LEVELS`] wheels of [`SLOTS`] slots each, picked by
+//! slot of one of `LEVELS` wheels of `SLOTS` slots each, picked by
 //! the coarsest bit-group in which its firing time differs from the
 //! drain cursor (level `k` covers the cursor's current `64^(k+1)`-µs
 //! window, so six levels cover ~19 hours; the rare event outside the

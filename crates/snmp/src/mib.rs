@@ -102,6 +102,20 @@ impl MibTree {
         );
     }
 
+    /// Register a read-only `Gauge32` sampled from `f`; values above
+    /// `u32::MAX` latch at the maximum (RFC 2578 §7.1.7).
+    pub fn register_gauge(&mut self, oid: Oid, mut f: impl FnMut() -> u64 + Send + 'static) {
+        self.register_computed(oid, move || {
+            SnmpValue::Gauge32(f().min(u32::MAX as u64) as u32)
+        });
+    }
+
+    /// Register a read-only `Counter32` sampled from `f`; values wrap
+    /// modulo 2^32 (RFC 2578 §7.1.6).
+    pub fn register_counter(&mut self, oid: Oid, mut f: impl FnMut() -> u64 + Send + 'static) {
+        self.register_computed(oid, move || SnmpValue::Counter32(f() as u32));
+    }
+
     /// Remove a variable; returns whether it existed.
     pub fn unregister(&mut self, oid: &Oid) -> bool {
         self.entries.remove(oid).is_some()
@@ -183,6 +197,21 @@ mod tests {
         assert_eq!(
             mib.get(&arcs::host_cpu_load()),
             Some(SnmpValue::Gauge32(10))
+        );
+    }
+
+    #[test]
+    fn gauges_latch_and_counters_wrap() {
+        let mut mib = MibTree::new();
+        mib.register_gauge(arcs::host_cpu_load(), || u64::MAX);
+        mib.register_counter(arcs::host_page_faults(), || (1u64 << 32) + 5);
+        assert_eq!(
+            mib.get(&arcs::host_cpu_load()),
+            Some(SnmpValue::Gauge32(u32::MAX))
+        );
+        assert_eq!(
+            mib.get(&arcs::host_page_faults()),
+            Some(SnmpValue::Counter32(5))
         );
     }
 

@@ -35,16 +35,12 @@ impl Oid {
 
     /// This OID extended with an extra arc (e.g. an instance index).
     pub fn child(&self, arc: u32) -> Oid {
-        let mut arcs = self.0.clone();
-        arcs.push(arc);
-        Oid(arcs)
+        self.extend(&[arc])
     }
 
     /// This OID extended with several arcs.
     pub fn extend(&self, arcs: &[u32]) -> Oid {
-        let mut v = self.0.clone();
-        v.extend_from_slice(arcs);
-        Oid(v)
+        Oid([&self.0[..], arcs].concat())
     }
 
     /// Whether `self` lies in the subtree rooted at `prefix`.

@@ -388,7 +388,7 @@ fn scenario_trace_is_reproducible_from_seed() {
 /// loss and zero retransmissions.
 #[test]
 fn ecn_congestion_downgrades_modality_with_zero_loss() {
-    use collabqos::core::trapwatch::{decision_from_trap, CongestionWatcher};
+    use collabqos::core::trapwatch::{decision_from_trap, TrapWatch};
     use collabqos::simnet::qdisc::QdiscConfig;
     use collabqos::snmp::transport::{AgentRuntime, TrapSink};
     use collabqos::snmp::SnmpAgent;
@@ -463,9 +463,9 @@ fn ecn_congestion_downgrades_modality_with_zero_loss() {
     let agent = SnmpAgent::new("receiver", "public", None);
     let mut rt = AgentRuntime::bind(&mut net, dst, agent).unwrap();
     let mut sink = TrapSink::bind(&mut net, station).unwrap();
-    let mut watcher = CongestionWatcher::new(5.0);
+    let mut watcher = TrapWatch::congestion(5.0);
     assert!(
-        watcher.observe(&mut net, &mut rt, station, &report),
+        watcher.observe(report.fraction_ecn_ce * 100.0, &mut net, &mut rt, station),
         "congestion crossing must trap\n{ctx}"
     );
     net.run_for(Ticks::from_millis(5));
