@@ -5,9 +5,9 @@
 //! through the same call sequences and requires identical outcomes,
 //! marks, drops and counters. Do not optimise this file.
 
-use super::{NodeIdx, NodeKind, NodeShared, TreeShared, TreeSpec, TreeStatsHandle, ROOT};
-use qdisc::CLASS_COUNT;
+use super::{NodeIdx, NodeKind, TreeShared, TreeSpec, TreeStatsHandle, ROOT};
 use qdisc::{CoDel, DequeueOutcome, EnqueueOutcome, Released, Shaper, TokenBucket, TrafficClass};
+use qdisc::{SharedStats, StatsHandle, CLASS_COUNT};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -100,7 +100,7 @@ impl<T> ShapingTree<T> {
             });
         }
         let shared = Arc::new(TreeShared {
-            nodes: spec.nodes.iter().map(|_| NodeShared::default()).collect(),
+            nodes: spec.nodes.iter().map(|_| StatsHandle::default()).collect(),
             rates: spec
                 .nodes
                 .iter()
@@ -127,7 +127,7 @@ impl<T> ShapingTree<T> {
         self.leaves.iter().map(|l| l.backlog_pkts()).sum()
     }
 
-    fn for_path(&self, idx: NodeIdx, mut f: impl FnMut(&NodeShared)) {
+    fn for_path(&self, idx: NodeIdx, mut f: impl FnMut(&SharedStats)) {
         let mut at = idx;
         loop {
             f(&self.shared.nodes[at]);
@@ -282,6 +282,7 @@ impl<T> ShapingTree<T> {
             if signal && !entry.ecn_capable {
                 self.for_path(node, |s| {
                     s.drops.fetch_add(1, Ordering::Relaxed);
+                    s.aqm_drops.fetch_add(1, Ordering::Relaxed);
                 });
                 aqm_dropped.push((TrafficClass::ALL[class], entry.payload));
                 continue;
@@ -311,6 +312,7 @@ impl<T> ShapingTree<T> {
             }
             self.for_path(node, |s| {
                 s.bits_sent.fetch_add(bits, Ordering::Relaxed);
+                s.pkts_sent.fetch_add(1, Ordering::Relaxed);
             });
             if self.leaves[li].head_class().is_none() {
                 self.leaves[li].deficit = 0;
@@ -331,7 +333,7 @@ impl<T> ShapingTree<T> {
     }
 }
 
-mod tests {
+pub(crate) mod tests {
     use super::ShapingTree as Oracle;
     use crate::{
         DequeueOutcome, EnqueueOutcome, NodeIdx, RatePlan, ShapingTree, TrafficClass, TreeShared,
@@ -341,7 +343,7 @@ mod tests {
     use qdisc::ClassMap;
 
     /// SplitMix64: the case generator behind one proptest seed.
-    struct Gen(u64);
+    pub(crate) struct Gen(pub(crate) u64);
 
     impl Gen {
         fn next(&mut self) -> u64 {
@@ -353,15 +355,15 @@ mod tests {
         }
 
         /// Uniform in `lo..hi`.
-        fn range(&mut self, lo: u64, hi: u64) -> u64 {
+        pub(crate) fn range(&mut self, lo: u64, hi: u64) -> u64 {
             lo + self.next() % (hi - lo)
         }
 
-        fn chance(&mut self, percent: u64) -> bool {
+        pub(crate) fn chance(&mut self, percent: u64) -> bool {
             self.range(0, 100) < percent
         }
 
-        fn pick<'a, V>(&mut self, from: &'a [V]) -> &'a V {
+        pub(crate) fn pick<'a, V>(&mut self, from: &'a [V]) -> &'a V {
             &from[self.range(0, from.len() as u64) as usize]
         }
     }
@@ -438,7 +440,7 @@ mod tests {
         )
     }
 
-    fn counters(s: &TreeShared) -> Vec<[u64; 6]> {
+    fn counters(s: &TreeShared) -> Vec<[u64; 8]> {
         use std::sync::atomic::Ordering::Relaxed;
         s.nodes
             .iter()
@@ -450,6 +452,8 @@ mod tests {
                     n.ecn_marks.load(Relaxed),
                     n.borrowed_bits.load(Relaxed),
                     n.bits_sent.load(Relaxed),
+                    n.aqm_drops.load(Relaxed),
+                    n.pkts_sent.load(Relaxed),
                 ]
             })
             .collect()

@@ -17,12 +17,13 @@
 //!   role of the paper's "thin layer based on the RTP-RTCP scheme"
 //!   (§5.1),
 //! * per-network statistics for tests and benches ([`trace`]),
-//! * an optional egress discipline per link, mounted with either
-//!   [`Network::attach_qdisc`] — a flat traffic-control plane with
-//!   token-bucket shaping, DRR class scheduling and ECN-capable CoDel
-//!   AQM (re-exported [`qdisc`] crate) — or [`Network::attach_tree`] —
-//!   a hierarchical shaping tree with per-subscriber plans and AQM
-//!   (re-exported [`htb`] crate). One egress code path serves both.
+//! * an optional egress discipline per link: one scheduler, the
+//!   shaping tree of the re-exported [`htb`] crate. It is mounted with
+//!   [`Network::attach_tree`] — a hierarchy with per-subscriber plans
+//!   and AQM — or with [`Network::attach_qdisc`], which compiles a
+//!   flat plane (token-bucket link shaping, DRR class scheduling and
+//!   ECN-capable CoDel AQM, configured through the re-exported
+//!   [`qdisc`] crate) into a one-level tree with one leaf per class.
 //!
 //! The simulator is fully deterministic: all randomness (packet loss)
 //! derives from a seed supplied to [`Network::new`].

@@ -18,11 +18,12 @@ use crate::time::{SimClock, Ticks};
 use crate::topology::{LinkId, LinkSpec, NodeId, Topology};
 use crate::trace::{NetStats, NetStatsHandle};
 use crate::wheel::TimingWheel;
-use htb::{ShapingTree, TreeSpec, TreeStatsHandle};
-use qdisc::{DequeueOutcome, EnqueueOutcome, Qdisc, QdiscConfig, QdiscStats, StatsHandle};
+use htb::{ShapingTree, TreeSpec, TreeStatsHandle, ROOT};
+use qdisc::{EnqueueOutcome, QdiscConfig, QdiscStats, StatsHandle};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Handle to a bound datagram socket.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -113,7 +114,8 @@ struct Socket {
 }
 
 /// A packet copy travelling a multi-hop path through at least one
-/// link with an egress discipline (flat qdisc or shaping tree) mounted.
+/// link with an egress discipline (a shaping tree, flat or not)
+/// mounted.
 /// Links without one are still traversed analytically (identical
 /// arithmetic and RNG draws to the plain path); a disciplined hop
 /// suspends the walk in the link's queues and resumes it as a
@@ -156,57 +158,15 @@ enum NetEvent {
     },
 }
 
-/// A link's egress discipline. Both keep the same driving contract —
-/// `enqueue` at arrival, `dequeue` whenever the wire is free,
-/// reschedule at `next_ready` — so one code path serves either.
-enum Egress {
-    /// Flat class-based plane: port classification, DRR over four
-    /// class queues, per-class CoDel.
-    Flat(Box<Qdisc<InFlight>>),
-    /// Hierarchical shaping tree: one leaf per destination subscriber.
-    Tree(Box<ShapingTree<InFlight>>),
-}
-
-impl Egress {
-    /// Offer a copy bound for `dst_node` on `port`. The flat plane
-    /// classifies by port alone; the tree picks the subscriber leaf by
-    /// destination node, then the class by port.
-    fn enqueue(
-        &mut self,
-        now_us: u64,
-        dst_node: u32,
-        port: u16,
-        bytes: u32,
-        ecn: bool,
-        flight: InFlight,
-    ) -> EnqueueOutcome<InFlight> {
-        match self {
-            Egress::Flat(q) => {
-                let class = q.classify(port);
-                q.enqueue(now_us, class, bytes, ecn, flight)
-            }
-            Egress::Tree(t) => t.enqueue(now_us, dst_node, port, bytes, ecn, flight),
-        }
-    }
-
-    fn next_ready(&self, after_us: u64) -> Option<u64> {
-        match self {
-            Egress::Flat(q) => q.next_ready(after_us),
-            Egress::Tree(t) => t.next_ready(after_us),
-        }
-    }
-
-    fn dequeue(&mut self, now_us: u64) -> DequeueOutcome<InFlight> {
-        match self {
-            Egress::Flat(q) => q.dequeue(now_us),
-            Egress::Tree(t) => t.dequeue(now_us),
-        }
-    }
-}
-
-/// A mounted egress discipline plus its service scheduling state.
+/// A mounted egress discipline plus its service scheduling state. The
+/// discipline is always a shaping tree: [`Network::attach_qdisc`]
+/// mounts the one-level tree a flat config compiles to. The tree is
+/// boxed so that unmounted slots below a mounted link stay small.
 struct LinkEgress {
-    plane: Egress,
+    tree: Box<ShapingTree<InFlight>>,
+    /// Mounted by [`Network::attach_qdisc`]: the tree is a flat plane
+    /// whose leaves 1..=4 are the traffic classes.
+    flat: bool,
     /// Instant of the currently scheduled service event, if any.
     service_at: Option<Ticks>,
     /// Generation of the live service event; stale events are ignored.
@@ -287,48 +247,55 @@ impl Network {
         self.egress.get_mut(id as usize).and_then(|e| e.as_mut())
     }
 
-    /// Put `plane` in the single egress slot of `link`. A link carries
-    /// one discipline for its lifetime: a second mount of either kind
-    /// panics rather than orphaning the packets queued in the first.
-    fn mount(&mut self, link: LinkId, plane: Egress) {
+    /// Compile `spec` into the single egress slot of `link` and return
+    /// the tree's live counters. A link carries one discipline for its
+    /// lifetime: a second mount of either kind panics rather than
+    /// orphaning the packets queued in the first.
+    fn mount(&mut self, link: LinkId, spec: TreeSpec, flat: bool) -> TreeStatsHandle {
         let idx = link.0 as usize;
         if idx >= self.egress.len() {
             self.egress.resize_with(idx + 1, || None);
         }
         if let Some(mounted) = &self.egress[idx] {
-            let kind = match mounted.plane {
-                Egress::Flat(_) => "qdisc",
-                Egress::Tree(_) => "shaping tree",
+            let kind = if mounted.flat {
+                "qdisc"
+            } else {
+                "shaping tree"
             };
             panic!("link already has a {kind} mounted");
         }
+        let tree = Box::new(ShapingTree::new(spec));
+        let handle = tree.shared_stats();
         self.egress[idx] = Some(LinkEgress {
-            plane,
+            tree,
+            flat,
             service_at: None,
             gen: 0,
         });
         self.egress_count += 1;
-    }
-
-    /// Mount a traffic-control plane on `link`. All traffic crossing
-    /// the link is then classified, shaped, DRR-scheduled, and subject
-    /// to CoDel AQM; links without a plane keep the plain analytic
-    /// FIFO model bit-for-bit. A link carries one egress discipline:
-    /// mounting a second one panics. Returns a handle to the plane's
-    /// live aggregate counters (for SNMP instrumentation).
-    pub fn attach_qdisc(&mut self, link: LinkId, cfg: QdiscConfig) -> StatsHandle {
-        let q: Qdisc<InFlight> = Qdisc::new(cfg);
-        let handle = q.shared_stats();
-        self.mount(link, Egress::Flat(Box::new(q)));
         handle
     }
 
-    /// Snapshot of the per-class counters of the plane on `link`.
+    /// Mount a traffic-control plane on `link`: the one-level shaping
+    /// tree [`TreeSpec::flat`] compiles from `cfg`. All traffic
+    /// crossing the link is then classified, shaped, DRR-scheduled, and
+    /// subject to CoDel AQM; links without a plane keep the plain
+    /// analytic FIFO model bit-for-bit. A link carries one egress
+    /// discipline: mounting a second one panics. Returns a handle to the
+    /// plane's live aggregate counters (for SNMP instrumentation).
+    pub fn attach_qdisc(&mut self, link: LinkId, cfg: QdiscConfig) -> StatsHandle {
+        let tree = self.mount(link, TreeSpec::flat(&cfg), true);
+        Arc::clone(tree.node(ROOT))
+    }
+
+    /// Snapshot of the per-class counters of the plane on `link`, read
+    /// from its class leaves (`None` unless `attach_qdisc` mounted it).
     pub fn qdisc_stats(&self, link: LinkId) -> Option<QdiscStats> {
-        match &self.egress_ref(link.0)?.plane {
-            Egress::Flat(q) => Some(q.stats().clone()),
-            Egress::Tree(_) => None,
-        }
+        let le = self.egress_ref(link.0).filter(|le| le.flat)?;
+        let tree = le.tree.shared_stats();
+        Some(QdiscStats {
+            classes: std::array::from_fn(|c| (&**tree.node(1 + c)).into()),
+        })
     }
 
     /// Mount a hierarchical shaping tree on `link`. All traffic
@@ -340,18 +307,13 @@ impl Network {
     /// second one panics. Returns a handle to the tree's live per-node
     /// counters (for SNMP instrumentation).
     pub fn attach_tree(&mut self, link: LinkId, spec: TreeSpec) -> TreeStatsHandle {
-        let tree: ShapingTree<InFlight> = ShapingTree::new(spec);
-        let handle = tree.shared_stats();
-        self.mount(link, Egress::Tree(Box::new(tree)));
-        handle
+        self.mount(link, spec, false)
     }
 
-    /// Whether `link` has a shaping tree mounted.
+    /// Whether `link` has a shaping tree mounted by
+    /// [`Network::attach_tree`] (a flat plane does not count).
     pub fn tree_attached(&self, link: LinkId) -> bool {
-        matches!(
-            self.egress_ref(link.0).map(|e| &e.plane),
-            Some(Egress::Tree(_))
-        )
+        self.egress_ref(link.0).is_some_and(|le| !le.flat)
     }
 
     /// Declare traffic sent from socket `s` ECN-capable (or not).
@@ -910,10 +872,11 @@ impl Network {
     }
 
     /// Offer an arriving copy to the egress discipline on `link_id` and
-    /// (re)schedule service. A tree picks the leaf by the copy's *final
-    /// destination node* — for multicast fan-out, the member socket's
-    /// node — so each subscriber's traffic meets its own plan and AQM
-    /// regardless of addressing.
+    /// (re)schedule service. The tree picks the leaf by the copy's
+    /// *final destination node* — for multicast fan-out, the member
+    /// socket's node — so each subscriber's traffic meets its own plan
+    /// and AQM regardless of addressing; a flat plane has no subscriber
+    /// leaves and picks the class leaf by port alone.
     fn egress_enqueue(&mut self, link_id: LinkId, flight: InFlight) {
         let now = self.clock.now();
         let port = match flight.dst {
@@ -934,7 +897,7 @@ impl Network {
             return;
         };
         match le
-            .plane
+            .tree
             .enqueue(now.as_micros(), dst_node, port.0, wire, ecn, flight)
         {
             EnqueueOutcome::Queued => self.kick_egress(link_id),
@@ -956,7 +919,7 @@ impl Network {
         let Some(le) = self.egress_mut(link_id.0) else {
             return;
         };
-        let Some(ready) = le.plane.next_ready(busy.as_micros()) else {
+        let Some(ready) = le.tree.next_ready(busy.as_micros()) else {
             return;
         };
         let at = Ticks::from_micros(ready);
@@ -988,7 +951,7 @@ impl Network {
             return;
         }
         le.service_at = None;
-        let out = le.plane.dequeue(now.as_micros());
+        let out = le.tree.dequeue(now.as_micros());
         let aqm_drops = out.aqm_dropped.len() as u64;
         self.stats.dropped += aqm_drops;
         self.stats.qdisc_dropped += aqm_drops;

@@ -7,6 +7,7 @@
 use collabqos::broker::{covers_expr, merge_covering};
 use collabqos::core::concurrency::LwwRegister;
 use collabqos::core::state_repo::{ObjectState, StateRepository};
+use collabqos::htb::{ShapingTree, TreeSpec};
 use collabqos::media::ezw::{self, BitReader, BitWriter};
 use collabqos::media::image::Image;
 use collabqos::media::packetize::{reassemble_prefix, split_packets};
@@ -14,9 +15,7 @@ use collabqos::media::psnr;
 use collabqos::media::wavelet::{self, WaveletKind};
 use collabqos::sempubsub::ast::{CmpOp, Expr};
 use collabqos::sempubsub::{AttrValue, Selector, SemanticMessage};
-use collabqos::simnet::qdisc::{
-    Qdisc, QdiscConfig, Shaper, TokenBucket, TrafficClass, CLASS_COUNT,
-};
+use collabqos::simnet::qdisc::{QdiscConfig, Shaper, TokenBucket, TrafficClass, CLASS_COUNT};
 use collabqos::simnet::rtp::{Nack, RtpHeader, RtpReceiver, RtpSender};
 use collabqos::simnet::Ticks;
 use collabqos::snmp::ber::{Reader, Writer};
@@ -670,14 +669,16 @@ proptest! {
         for c in cfg.classes.iter_mut() {
             c.queue_cap_pkts = usize::MAX;   // never tail-drop
         }
+        let ports = [161, 5004, 7000, 9999]; // one per class, in order
+        cfg.class_map.assign(ports[2], TrafficClass::BulkMedia);
         let total_quanta: u64 = cfg.classes.iter().map(|c| c.quantum as u64).sum();
         let target_total: u64 = 50 * total_quanta; // ~50 DRR rounds
-        let mut q: Qdisc<u32> = Qdisc::new(cfg);
+        let mut q: ShapingTree<u32> = ShapingTree::new(TreeSpec::flat(&cfg));
         // Keep every class deeply backlogged for the whole run.
         for (ci, &sz) in sizes.iter().enumerate() {
             let need = (2 * target_total / sz as u64 + 2) as usize;
             for n in 0..need {
-                q.enqueue(0, TrafficClass::ALL[ci], sz, false, n as u32);
+                q.enqueue(0, 0, ports[ci], sz, false, n as u32);
             }
         }
         let mut served = [0u64; CLASS_COUNT];
@@ -687,14 +688,14 @@ proptest! {
         }
         let total: u64 = served.iter().sum();
         for (ci, &s) in served.iter().enumerate() {
-            let quantum = q.config().classes[ci].quantum as u64;
+            let quantum = cfg.classes[ci].quantum as u64;
             let expected = total as f64 * quantum as f64 / total_quanta as f64;
             let slack = (quantum + sizes[ci] as u64) as f64;
             prop_assert!(
                 (s as f64 - expected).abs() <= slack,
                 "class {ci} (pkt {} B): served {s} B of {total} B, expected ~{expected:.0} ± {slack} [{}]",
                 sizes[ci],
-                q.config().summary()
+                cfg.summary()
             );
         }
     }
